@@ -4,8 +4,8 @@
 //! `serve_bench`, …) accepts the same core flags with the same spelling
 //! and semantics, parsed by [`common`]:
 //!
-//! - `--threads N` — compile on the parallel driver (default 1, the
-//!   serial pipeline; output is bit-identical either way).
+//! - `--threads N` — compile with N workers (default 1: every task on
+//!   the calling thread; output is bit-identical either way).
 //! - `--deadline-ms N` — wall-clock compile budget; trips degrade
 //!   gracefully instead of crashing.
 //! - `--trace-out PATH` (or `DHPF_TRACE`) — dump the structured trace;

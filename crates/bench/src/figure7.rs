@@ -152,8 +152,9 @@ pub fn run_traced(procs: &[i64], trace: Option<&Collector>) -> Vec<Curve> {
     run_traced_threads(procs, trace, 1)
 }
 
-/// [`run_traced`] compiling on the parallel driver (`--threads N`);
-/// `threads = 1` is the serial pipeline. Simulation is unaffected.
+/// [`run_traced`] compiling with `threads` workers (`--threads N`); the
+/// compiled code is the same at every thread count. Simulation is
+/// unaffected.
 pub fn run_traced_threads(procs: &[i64], trace: Option<&Collector>, threads: usize) -> Vec<Curve> {
     run_opts(procs, trace, &CompileOptions::new().threads(threads))
 }

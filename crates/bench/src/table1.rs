@@ -123,8 +123,8 @@ pub fn run_with(use_cache: bool) -> String {
     run_threads(use_cache, 1)
 }
 
-/// Runs Table 1 on the parallel driver (`--threads N`); `threads = 1` is
-/// the serial pipeline.
+/// Runs Table 1 compiling with `threads` workers (`--threads N`); the
+/// output is the same at every thread count.
 pub fn run_threads(use_cache: bool, threads: usize) -> String {
     run_opts(&CompileOptions::new().cache(use_cache).threads(threads))
 }
@@ -146,8 +146,8 @@ pub fn run_traced(use_cache: bool, trace: &Collector) -> String {
     run_traced_threads(use_cache, trace, 1)
 }
 
-/// [`run_traced`] compiling on the parallel driver (`--threads N`);
-/// `threads = 1` is the serial pipeline.
+/// [`run_traced`] compiling with `threads` workers (`--threads N`); the
+/// output is the same at every thread count.
 pub fn run_traced_threads(use_cache: bool, trace: &Collector, threads: usize) -> String {
     let opts = CompileOptions::new()
         .cache(use_cache)
@@ -215,14 +215,13 @@ pub fn render(cols: &[Column]) -> String {
     for c in cols {
         let cache = &c.compiled.report.cache;
         out.push_str(&format!(
-            "  {:<8} hits {:>6}, misses {:>6}, hit rate {:>5.1}%, evictions {:>2}, interned {:>5} conjuncts / {:>5} exprs\n",
+            "  {:<8} hits {:>6}, misses {:>6}, hit rate {:>5.1}%, evictions {:>2}, interned {:>5} conjuncts\n",
             c.name,
             cache.total_hits(),
             cache.total_misses(),
             100.0 * cache.hit_rate(),
             cache.total_evictions(),
             cache.interned_conjuncts,
-            cache.interned_exprs,
         ));
         for (op, counts) in cache.rows() {
             if counts.hits + counts.misses > 0 {

@@ -1,20 +1,20 @@
-//! End-to-end compilation driver with phase instrumentation (Table 1),
-//! in serial or parallel (`CompileOptions::threads`) form.
+//! End-to-end compilation driver with phase instrumentation (Table 1).
 //!
-//! The parallel pipeline keeps the serial path byte-identical at
-//! `threads <= 1` and is gated by bit-identical output above it: program
-//! units are analyzed concurrently, interprocedural layout collection runs
-//! first (serially, sharing the Omega [`Context`]), and then a dependency
-//! DAG of per-nest synthesis tasks — with one assembly task per unit
-//! depending on that unit's nests — executes on a scoped worker pool.
-//! Communication-event ids are renumbered during assembly to reproduce the
-//! serial single-counter numbering exactly (see `spmd::assemble_spmd`).
+//! One pipeline serves every thread count (`CompileOptions::threads`):
+//! program units are analyzed as an ordered map, interprocedural layout
+//! collection and nest planning run next (in unit order, sharing the Omega
+//! [`Context`]), and then a dependency DAG of per-nest synthesis tasks —
+//! with one assembly task per unit depending on that unit's nests — runs
+//! on `threads` workers. At one thread the DAG runs on the calling thread
+//! in task-id order. Communication-event ids are renumbered during
+//! assembly so the output is bit-identical at every thread count (see
+//! `spmd::assemble_spmd`).
 
 use crate::layout::build_layouts_in;
 use crate::phases::PhaseTimers;
 use crate::spmd::{
-    assemble_spmd, build_nest_standalone, build_spmd, plan_items, CompileError, NestOut,
-    SpmdOptions, SpmdProgram, SpmdStats, UnitPlan,
+    assemble_spmd, build_nest_standalone, plan_items, CompileError, NestOut, SpmdOptions,
+    SpmdProgram, SpmdStats, UnitPlan,
 };
 use dhpf_hpf::{analyze, parse, Analysis};
 use dhpf_obs::Collector;
@@ -48,10 +48,11 @@ pub struct CompileOptions {
     /// Tracing observes the compilation without perturbing it: the
     /// produced [`SpmdProgram`] is identical with or without a collector.
     pub trace: Option<Collector>,
-    /// Worker threads for the parallel pipeline. `1` (the default) runs
-    /// the serial driver unchanged; larger values analyze units and
-    /// synthesize independent loop nests concurrently on a scoped pool.
-    /// The compiled program is bit-identical at every thread count.
+    /// Worker threads for unit analysis and the nest-synthesis DAG. `1`
+    /// (the default) runs every task on the calling thread, in order;
+    /// larger values analyze units and synthesize independent loop nests
+    /// concurrently on a scoped pool. The compiled program is
+    /// bit-identical at every thread count.
     pub threads: usize,
     /// Resource budget for the compilation: wall-clock deadline, Omega-op
     /// fuel, and set-algebra piece caps. When a deadline or fuel limit
@@ -182,7 +183,7 @@ pub struct CompileReport {
 }
 
 impl CompileReport {
-    /// The graceful degradations taken during synthesis, in serial nest
+    /// The graceful degradations taken during synthesis, in source nest
     /// order. Empty means every nest compiled exactly; entries describe
     /// which conservative construct replaced what, and why.
     pub fn degradations(&self) -> &[crate::spmd::Degradation] {
@@ -304,7 +305,7 @@ pub struct CompileResponse {
     pub units: usize,
     /// Communication events synthesized for the main unit.
     pub comm_events: usize,
-    /// Graceful degradations taken, in serial nest order (empty = exact).
+    /// Graceful degradations taken, in source nest order (empty = exact).
     pub degradations: Vec<crate::spmd::Degradation>,
     /// *Cumulative* cache counters of the serving context after this
     /// request (a long-lived context accumulates across requests).
@@ -475,10 +476,10 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     }
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
-    // unwinding into the caller. Parallel nest tasks are additionally
+    // unwinding into the caller. Nest and assembly tasks are additionally
     // caught per-task inside `run_dag`, so one bad nest cannot take down
-    // siblings; this outer catch covers the serial path and the
-    // orchestration code itself.
+    // siblings; this outer catch covers parsing, analysis, layout
+    // construction and the orchestration code itself.
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
     }));
@@ -548,48 +549,18 @@ fn compile_inner(
     }
     // "Interprocedural analysis": analyze every unit; directives of the
     // main unit drive synthesis (dHPF propagates layouts across calls).
-    // Units are independent here, so the parallel path fans them out.
+    // Units are independent here, so they fan out over the workers.
     let analyses = timers.time("interprocedural analysis", |_| {
-        if threads <= 1 {
-            prog.units
-                .iter()
-                .map(analyze)
-                .collect::<Result<Vec<_>, _>>()
-        } else {
-            crate::parallel::ordered_map(threads, prog.units.len(), |i| analyze(&prog.units[i]))
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-        }
+        crate::parallel::ordered_map(threads, prog.units.len(), |i| analyze(&prog.units[i]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
     })?;
     let units = analyses.len();
     ctx.check_cancelled()?;
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
     let mut compiled: Option<(SpmdProgram, SpmdStats)> = None;
-    timers.time("module compilation", |t| -> Result<(), CompileError> {
-        if threads <= 1 {
-            // Every unit goes through layout construction and (for units
-            // with executable bodies) SPMD synthesis; only the main unit's
-            // program is retained, matching how the paper reports
-            // whole-module times.
-            for (k, analysis) in analyses.iter().enumerate() {
-                let layouts = t.time("layout construction", |_| {
-                    build_layouts_in(analysis, Some(ctx))
-                });
-                let result = build_spmd(analysis, &layouts, &opts.spmd, Some(t));
-                match result {
-                    Ok(ps) => {
-                        if k == main_idx {
-                            compiled = Some(ps);
-                        }
-                    }
-                    Err(e) if k == main_idx => return Err(e),
-                    Err(_) => {} // non-main unit with unsupported constructs
-                }
-            }
-            Ok(())
-        } else {
-            compile_units_parallel(ctx, &analyses, main_idx, opts, threads, t, &mut compiled)
-        }
+    timers.time("module compilation", |t| {
+        compile_units(ctx, &analyses, main_idx, opts, threads, t, &mut compiled)
     })?;
     let (program, stats) = compiled.ok_or_else(|| {
         CompileError::Unsupported("no compilable main unit in the program".to_string())
@@ -627,14 +598,18 @@ fn compile_inner(
     })
 }
 
-/// The parallel "module compilation" phase: serial layout collection and
-/// nest planning per unit (sharing the open phase structure and `ctx`),
-/// then a task DAG — nest-synthesis tasks plus one assembly task per unit,
-/// each assembly depending on its unit's nests — on a scoped pool. Results
-/// land in per-task slots; per-nest timers are merged into `t` in serial
-/// traversal order afterwards, so phase rows reconcile deterministically.
+/// The "module compilation" phase. Every unit goes through layout
+/// construction and (for units with executable bodies) SPMD synthesis;
+/// only the main unit's program is retained, matching how the paper
+/// reports whole-module times. Layout collection and nest planning run
+/// first, in unit order on the calling thread (sharing the open phase
+/// structure and `ctx`); then a task DAG — nest-synthesis tasks plus one
+/// assembly task per unit, each assembly depending on its unit's nests —
+/// runs on `threads` workers. Results land in per-task slots; per-nest
+/// timers are merged into `t` in nest order afterwards, so phase rows
+/// reconcile deterministically.
 #[allow(clippy::too_many_arguments)]
-fn compile_units_parallel(
+fn compile_units(
     ctx: &Context,
     analyses: &[Analysis],
     main_idx: usize,
@@ -643,7 +618,7 @@ fn compile_units_parallel(
     t: &mut PhaseTimers,
     compiled: &mut Option<(SpmdProgram, SpmdStats)>,
 ) -> Result<(), CompileError> {
-    // Interprocedural layout collection first: serial, in unit order.
+    // Interprocedural layout collection first, in unit order.
     let mut unit_layouts = Vec::with_capacity(analyses.len());
     let mut unit_plans: Vec<Result<UnitPlan, CompileError>> = Vec::with_capacity(analyses.len());
     for (k, analysis) in analyses.iter().enumerate() {
@@ -719,13 +694,13 @@ fn compile_units_parallel(
             for &ti in &unit_nest_tasks[k] {
                 let slot = nest_slots[ti].lock().unwrap().take();
                 match slot {
-                    Some(Ok(out)) if err.is_none() => {
-                        worker_timers.push(out.timers.clone());
+                    Some(Ok(mut out)) if err.is_none() => {
+                        worker_timers.push(std::mem::take(&mut out.timers));
                         outs.push(out);
                     }
                     Some(Ok(_)) => {}
-                    // Lowest nest index wins: the error the serial pass
-                    // would have hit first.
+                    // Lowest nest index wins: the first failure in source
+                    // order, whichever worker hit it first.
                     Some(Err(e)) if err.is_none() => err = Some(e),
                     Some(Err(_)) => {}
                     // The nest task panicked: `run_dag` contained it and
@@ -743,15 +718,28 @@ fn compile_units_parallel(
             *unit_timers[pi].lock().unwrap() = worker_timers;
             let res = match err {
                 Some(e) => Err(e),
-                None => assemble_spmd(&analyses[k], &unit_layouts[k], &plan.skel, outs),
+                None => {
+                    // Like a nest task, assembly opens its span under the
+                    // anchor, so the owned-set enumeration's set ops land
+                    // under "compile" on whichever thread runs it.
+                    let span = anchor.as_ref().map(|(c, parent)| {
+                        let id = c.begin_child_of(*parent, &format!("assembly {k}"), "phase");
+                        (c, id)
+                    });
+                    let res = assemble_spmd(&analyses[k], &unit_layouts[k], &plan.skel, outs);
+                    if let Some((c, id)) = span {
+                        c.end(id);
+                    }
+                    res
+                }
             };
             *unit_slots[pi].lock().unwrap() = Some(res);
         }
     });
     // Deterministic reconciliation: merge nest timers and pick results in
-    // serial unit order. Panicking tasks left their slots empty; their
-    // captured messages become typed `Internal` errors here (lowest nest
-    // index wins, matching the serial pass's first-failure semantics).
+    // unit order. Panicking tasks left their slots empty; their captured
+    // messages become typed `Internal` errors here (lowest nest index wins,
+    // the first failure in source order).
     for (pi, &k) in planned.iter().enumerate() {
         for wt in unit_timers[pi].lock().unwrap().iter() {
             t.merge(wt);

@@ -1,11 +1,12 @@
-//! Minimal scoped-thread execution primitives for the parallel driver.
+//! Minimal scoped-thread execution primitives for the compile driver.
 //!
 //! Zero dependencies: a work-stealing-free ordered parallel map (atomic
 //! work index over a fixed task list) and a dependency-DAG executor
 //! (indegree counting with a mutex-guarded ready queue). Both run on
-//! `std::thread::scope`, so tasks may borrow from the caller's stack, and
-//! both preserve *determinism of results*: outputs land in slots indexed
-//! by task id, independent of which worker ran what when.
+//! `std::thread::scope` — or, at one thread, directly on the calling
+//! thread — so tasks may borrow from the caller's stack, and both preserve
+//! *determinism of results*: outputs land in slots indexed by task id,
+//! independent of which worker ran what when.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -61,6 +62,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Executes a dependency DAG of `n` tasks on `threads` scoped workers,
 /// returning per-task panic messages (`None` = the task body completed).
+/// `threads <= 1` runs the same worker loop on the calling thread (no
+/// spawn), so thread-local state armed by the caller stays in force.
 ///
 /// `deps[i]` lists the tasks that must complete before task `i` starts.
 /// Ready tasks are dispatched in ascending task id (the queue is kept
@@ -101,39 +104,44 @@ where
     });
     let wake = Condvar::new();
     let panics: Vec<Mutex<Option<String>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1).min(n) {
-            s.spawn(|| loop {
-                let task = {
-                    let mut st = state.lock().unwrap();
-                    loop {
-                        if st.remaining == 0 {
-                            return;
-                        }
-                        if let Some(t) = st.ready.pop() {
-                            break t;
-                        }
-                        st = wake.wait(st).unwrap();
-                    }
-                };
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task)));
-                if let Err(payload) = r {
-                    *panics[task].lock().unwrap() = Some(panic_message(payload));
+    let worker = || loop {
+        let task = {
+            let mut st = state.lock().unwrap();
+            loop {
+                if st.remaining == 0 {
+                    return;
                 }
-                let mut st = state.lock().unwrap();
-                st.remaining -= 1;
-                for &d in &dependents[task] {
-                    st.indegree[d] -= 1;
-                    if st.indegree[d] == 0 {
-                        st.ready.push(d);
-                        st.ready.sort_unstable_by(|a, b| b.cmp(a));
-                    }
+                if let Some(t) = st.ready.pop() {
+                    break t;
                 }
-                drop(st);
-                wake.notify_all();
-            });
+                st = wake.wait(st).unwrap();
+            }
+        };
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task)));
+        if let Err(payload) = r {
+            *panics[task].lock().unwrap() = Some(panic_message(payload));
         }
-    });
+        let mut st = state.lock().unwrap();
+        st.remaining -= 1;
+        for &d in &dependents[task] {
+            st.indegree[d] -= 1;
+            if st.indegree[d] == 0 {
+                st.ready.push(d);
+                st.ready.sort_unstable_by(|a, b| b.cmp(a));
+            }
+        }
+        drop(st);
+        wake.notify_all();
+    };
+    if threads <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|s| {
+            for _ in 0..threads.min(n) {
+                s.spawn(worker);
+            }
+        });
+    }
     let st = state.into_inner().unwrap();
     assert_eq!(st.remaining, 0, "dependency cycle: tasks left unrunnable");
     panics

@@ -192,9 +192,10 @@ impl PhaseTimers {
     /// this one, deterministically: `other`'s top-level phases are adopted
     /// as children of this timer's innermost open phase (the *anchor*),
     /// crediting the anchor's child-time so self-time accounting matches
-    /// the serial pipeline; nested parents carry over unchanged. Phase
+    /// phases timed in place; nested parents carry over unchanged. Phase
     /// first-use order appends `other`'s new names in their own order, so
-    /// merging workers in nest order reproduces the serial row order.
+    /// merging workers in nest order gives the same rows at every thread
+    /// count.
     pub fn merge(&mut self, other: &PhaseTimers) {
         let anchor = self.stack.last().cloned();
         for name in &other.order {

@@ -231,9 +231,9 @@ pub struct SpmdProgram {
 
 /// One recorded graceful degradation: where the exact analysis gave up,
 /// why, and which sound conservative construct replaced it. Collected in
-/// [`SpmdStats::degradations`] in serial nest order (the parallel driver
-/// reconciles to the same order), so the list is deterministic for a given
-/// program, options, and fault plan.
+/// [`SpmdStats::degradations`] in source nest order at every thread count,
+/// so the list is deterministic for a given program, options, and fault
+/// plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Degradation {
     /// The construct that degraded: `"split"` (Figure-4 loop splitting
@@ -271,7 +271,7 @@ pub struct SpmdStats {
     pub split_nests: usize,
     /// Coalesced reference groups (more than one reference per event).
     pub coalesced_groups: usize,
-    /// Graceful degradations taken, in serial nest order. Empty means the
+    /// Graceful degradations taken, in source nest order. Empty means the
     /// whole program compiled exactly.
     pub degradations: Vec<Degradation>,
 }
@@ -298,7 +298,7 @@ pub(crate) struct Synth<'a> {
     opts: &'a SpmdOptions,
     events: Vec<CommEvent>,
     stats: SpmdStats,
-    timers: Option<&'a mut crate::phases::PhaseTimers>,
+    timers: &'a mut crate::phases::PhaseTimers,
     /// The Omega context the layouts carry (if any): attached to every
     /// root set built during synthesis so all derived operations share it.
     octx: Option<dhpf_omega::Context>,
@@ -309,15 +309,10 @@ impl Synth<'_> {
         // PhaseTimers::time needs &mut PhaseTimers; emulate with open/close
         // so we can keep borrowing self while nested phases still link to
         // their parent (no double-counted self time).
-        if let Some(t) = self.timers.as_mut() {
-            t.open(name);
-        }
+        self.timers.open(name);
         let t0 = std::time::Instant::now();
         let out = f(self);
-        let dt = t0.elapsed();
-        if let Some(t) = self.timers.as_mut() {
-            t.close(name, dt);
-        }
+        self.timers.close(name, t0.elapsed());
         out
     }
 
@@ -338,37 +333,10 @@ impl Synth<'_> {
     }
 }
 
-/// Synthesizes the SPMD program for one analyzed unit.
-///
-/// # Errors
-///
-/// Returns [`CompileError::Unsupported`] for constructs outside the SPMD
-/// subset (e.g. subroutine calls) and [`CompileError::Codegen`] if loop
-/// synthesis fails.
-pub fn build_spmd(
-    analysis: &Analysis,
-    layouts: &BTreeMap<String, Layout>,
-    opts: &SpmdOptions,
-    timers: Option<&mut crate::phases::PhaseTimers>,
-) -> Result<(SpmdProgram, SpmdStats), CompileError> {
-    let octx = layouts.values().find_map(|l| l.rel.context().cloned());
-    let mut synth = Synth {
-        analysis,
-        layouts,
-        opts,
-        events: Vec::new(),
-        stats: SpmdStats::default(),
-        timers,
-        octx,
-    };
-    let items = build_items(&mut synth, &analysis.unit.body)?;
-    let program = finish_program(analysis, layouts, items, synth.events)?;
-    Ok((program, synth.stats))
-}
-
 /// Assembles the unit-level program around already-built items: processor
-/// grid, array allocations (with owned-set enumeration code), inputs.
-/// Shared by the serial path and the parallel assembly.
+/// grid, array allocations (with owned-set enumeration code), inputs. The
+/// last step of [`assemble_spmd`], run inside the driver's per-unit
+/// assembly task.
 fn finish_program(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
@@ -477,111 +445,17 @@ fn collect_inputs(body: &[Stmt], out: &mut Vec<String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Item structure
-// ---------------------------------------------------------------------------
-
-fn build_items(synth: &mut Synth, body: &[Stmt]) -> Result<Vec<SpmdItem>, CompileError> {
-    let mut items = Vec::new();
-    let mut pending: Vec<Stmt> = Vec::new(); // consecutive nest-able stmts
-    for s in body {
-        match &s.kind {
-            StmtKind::Read { .. } | StmtKind::Print { .. } => {
-                flush_nest(synth, &mut pending, &mut items)?;
-                items.push(SpmdItem::Serial(s.clone()));
-            }
-            StmtKind::Call { name, .. } => {
-                return Err(CompileError::Unsupported(format!(
-                    "call to '{name}' (inline subroutines before SPMD synthesis)"
-                )));
-            }
-            StmtKind::Assign { name, rhs, .. } => {
-                if !synth.analysis.is_array(name)
-                    && !reads_distributed_array(synth.analysis, synth.layouts, rhs)
-                {
-                    // Pure scalar statement: replicated.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    items.push(SpmdItem::Serial(s.clone()));
-                } else {
-                    pending.push(s.clone());
-                }
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if is_pure_scalar_block(synth.analysis, synth.layouts, then_body)
-                    && is_pure_scalar_block(synth.analysis, synth.layouts, else_body)
-                {
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    items.push(SpmdItem::Serial(s.clone()));
-                } else {
-                    // An IF with array assignments forms its own nest; do
-                    // not fuse with neighbouring statements.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let nest = build_nest(synth, std::slice::from_ref(s))?;
-                    items.push(SpmdItem::Nest(nest));
-                }
-            }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                body: do_body,
-                ..
-            } => {
-                if is_serial_loop(synth.analysis, synth.layouts, var, do_body) {
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let inner = build_items(synth, do_body)?;
-                    items.push(SpmdItem::SerialLoop {
-                        var: var.clone(),
-                        lo: lo.clone(),
-                        hi: hi.clone(),
-                        body: inner,
-                    });
-                } else {
-                    // Each parallel DO nest stands alone: fusing separate
-                    // source loops could violate dependences.
-                    flush_nest(synth, &mut pending, &mut items)?;
-                    let nest = build_nest(synth, std::slice::from_ref(s))?;
-                    items.push(SpmdItem::Nest(nest));
-                }
-            }
-        }
-    }
-    flush_nest(synth, &mut pending, &mut items)?;
-    Ok(items)
-}
-
-fn flush_nest(
-    synth: &mut Synth,
-    pending: &mut Vec<Stmt>,
-    items: &mut Vec<SpmdItem>,
-) -> Result<(), CompileError> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    let body = std::mem::take(pending);
-    let nest = build_nest(synth, &body)?;
-    items.push(SpmdItem::Nest(nest));
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Parallel nest synthesis: plan → build standalone → assemble
+// Unit synthesis: plan → build each nest standalone → assemble
 // ---------------------------------------------------------------------------
 //
-// The serial `build_items` interleaves item structuring with nest synthesis,
-// assigning communication-event ids from one global counter as it goes. The
-// parallel driver instead (1) *plans* the item skeleton up front (a pure
-// structural pass over the AST — `plan_items` mirrors `build_items`'
-// control flow exactly, flushing pending statements at the same points),
-// (2) builds each extracted nest *standalone* on a worker thread with local
-// event ids counted from 0, and (3) *assembles*: walking the skeleton in
-// order, offsetting each nest's event ids by the running total so the final
-// numbering is identical to what the serial single-counter pass produces.
-// Synthesis statistics are per-nest and additive, so summing them in any
-// order reconciles with the serial accumulation.
+// A unit is synthesized in three steps, at every thread count: (1) *plan*
+// the item skeleton up front (a pure structural pass over the AST), (2)
+// build each extracted nest *standalone* — as one task of the driver's
+// nest DAG — with local event ids counted from 0, and (3) *assemble*:
+// walk the skeleton in order, offsetting each nest's event ids by the
+// running total so events are numbered in source traversal order.
+// Synthesis statistics are per-nest and additive, so summing them in nest
+// order gives the unit's statistics.
 
 /// Skeleton of a unit's item list with nest bodies factored out by index.
 pub(crate) enum ItemSkel {
@@ -607,13 +481,18 @@ pub(crate) enum ItemSkel {
 pub(crate) struct UnitPlan {
     /// Item structure, with nests by index.
     pub skel: Vec<ItemSkel>,
-    /// Nest bodies, in serial traversal order.
+    /// Nest bodies, in source traversal order.
     pub nests: Vec<Vec<Stmt>>,
 }
 
-/// Plans a unit's items without doing any set algebra. Mirrors
-/// [`build_items`]' dispatch exactly, so `skel` reproduces the serial item
-/// structure and `nests` lists nest bodies in serial traversal order.
+/// Plans a unit's items without doing any set algebra: `skel` is the item
+/// structure and `nests` lists nest bodies in source traversal order.
+/// Consecutive array assignments (and scalar assignments that read
+/// distributed arrays, e.g. reductions) fuse into one nest; a parallel DO
+/// or an IF with array assignments stands alone (fusing separate source
+/// loops could violate dependences); a DO whose index subscripts no
+/// distributed array is a replicated serial loop whose body is planned
+/// recursively.
 pub(crate) fn plan_items(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
@@ -740,7 +619,7 @@ pub(crate) fn build_nest_standalone(
             opts,
             events: Vec::new(),
             stats: SpmdStats::default(),
-            timers: Some(&mut timers),
+            timers: &mut timers,
             octx,
         };
         let item = build_nest(&mut synth, body);
@@ -761,11 +640,11 @@ pub(crate) fn build_nest_standalone(
     })
 }
 
-/// Assembles standalone nest outputs back into a unit program with event
-/// numbering identical to the serial pass: each nest's local event ids are
-/// shifted by the number of events in all earlier nests (serial traversal
-/// order), and the `CommSend`/`CommRecv` op references inside the nest are
-/// rewritten to match. Returns the program plus the summed statistics.
+/// Assembles standalone nest outputs back into a unit program, numbering
+/// events in source traversal order: each nest's local event ids are
+/// shifted by the number of events in all earlier nests, and the
+/// `CommSend`/`CommRecv` op references inside the nest are rewritten to
+/// match. Returns the program plus the summed statistics.
 pub(crate) fn assemble_spmd(
     analysis: &Analysis,
     layouts: &BTreeMap<String, Layout>,
@@ -793,8 +672,8 @@ pub(crate) fn assemble_spmd(
         stats.contiguous_events += out.stats.contiguous_events;
         stats.split_nests += out.stats.split_nests;
         stats.coalesced_groups += out.stats.coalesced_groups;
-        // Degradations concatenate in serial traversal order, so the list
-        // (and thus the whole stats value) reconciles with the serial pass.
+        // Degradations concatenate in nest order, so the list (and thus
+        // the whole stats value) is independent of the thread count.
         stats.degradations.extend(out.stats.degradations);
         items_by_nest.push(Some(item));
     }

@@ -59,16 +59,33 @@ fn traced_compile_is_equivalent() {
 
 /// The span tree reconciles with the PhaseTimers rows it instrumented:
 /// one compile root, one span subtree per phase, with cumulative span
-/// times close to the timer totals (same thread, same intervals).
+/// times close to the timer totals (same intervals), at one thread and on
+/// the worker pool.
 #[test]
 fn trace_reconciles_with_table1_rows() {
+    for threads in [1, 2] {
+        trace_reconciles_at(threads);
+    }
+}
+
+fn trace_reconciles_at(threads: usize) {
     let collector = Collector::new();
-    let compiled = compile(STENCIL, &CompileOptions::new().trace(collector.clone())).unwrap();
+    let compiled = compile(
+        STENCIL,
+        &CompileOptions::new()
+            .threads(threads)
+            .trace(collector.clone()),
+    )
+    .unwrap();
     let trace = collector.trace();
     assert!(trace.nodes.iter().all(|n| !n.open), "dangling open span");
 
     let roots = trace.roots();
-    assert_eq!(roots.len(), 1, "exactly one compile root");
+    assert_eq!(
+        roots.len(),
+        1,
+        "exactly one compile root (threads = {threads})"
+    );
     let root = roots[0];
     assert_eq!(trace.nodes[root].name, "compile");
     assert_eq!(trace.nodes[root].counters.get("units"), Some(&1));
@@ -97,7 +114,7 @@ fn trace_reconciles_with_table1_rows() {
         let slack = 20_000.0 * spans.len() as f64; // 20us per span
         assert!(
             diff / row_ns.max(1.0) < 0.05 || diff < slack,
-            "phase {}: spans {}ns vs rows {}ns (diff {}ns over {} spans)",
+            "phase {} (threads = {threads}): spans {}ns vs rows {}ns (diff {}ns over {} spans)",
             row.name,
             span_ns,
             row_ns,

@@ -307,17 +307,16 @@ impl Collector {
     }
 
     /// Opens a span under an explicit `parent` instead of the calling
-    /// thread's innermost open span. The parallel driver uses this to
-    /// stitch worker-thread span trees under the main thread's open
-    /// `"compile"`/phase spans so traced parallel compilations still form
-    /// one tree. The span goes onto the *calling* thread's stack: spans
-    /// the worker opens next nest under it as usual.
+    /// thread's innermost open span. The compile driver uses this to
+    /// stitch each task's span tree under the main thread's open
+    /// `"compile"`/phase spans, so a traced compilation forms one tree
+    /// whichever thread ran the task. The span goes onto the *calling*
+    /// thread's stack: spans the worker opens next nest under it as usual.
     pub fn begin_child_of(&self, parent: SpanId, name: &str, cat: &'static str) -> SpanId {
         self.begin_impl(name, cat, Some(parent))
     }
 
     fn begin_impl(&self, name: &str, cat: &'static str, parent_override: Option<SpanId>) -> SpanId {
-        let now = self.now_ns();
         let tid = std::thread::current().id();
         let mut st = self.inner.state.lock().unwrap();
         let thread = st.thread_tag(tid);
@@ -330,7 +329,7 @@ impl Collector {
             name: name.to_string(),
             cat,
             parent,
-            start_ns: now,
+            start_ns: 0,
             dur_ns: 0,
             children: Vec::new(),
             ops: BTreeMap::new(),
@@ -342,6 +341,10 @@ impl Collector {
             st.nodes[p].children.push(idx);
         }
         st.stacks.entry(tid).or_default().push(idx);
+        // Stamp the start after the bookkeeping, as `end` stamps before
+        // it: the span then times the caller's work, not the collector's
+        // own allocations (a `nodes` reallocation can cost tens of µs).
+        st.nodes[idx].start_ns = self.now_ns();
         SpanId(idx)
     }
 

@@ -6,10 +6,9 @@
 //! per-conjunct operations — integer satisfiability, Fourier–Motzkin
 //! projection, exact negation, gist — are recomputed many times over
 //! structurally identical inputs. A `Context` hash-conses [`Conjunct`]s
-//! (and [`LinExpr`]s) into interned ids and memoizes those operations in
-//! per-operation caches keyed by the interned ids, with hit/miss/eviction
-//! counters that the compiler driver surfaces next to its Table-1 phase
-//! timers.
+//! into interned ids and memoizes those operations in per-operation caches
+//! keyed by the interned ids, with hit/miss/eviction counters that the
+//! compiler driver surfaces next to its Table-1 phase timers.
 //!
 //! A `Context` is an `Arc`-shared handle: cloning it is cheap and all
 //! clones share one arena. Attach it to root relations (layouts, parsed
@@ -46,7 +45,6 @@ use crate::budget::{
 use crate::builder::{RelationBuilder, SetBuilder};
 use crate::conjunct::Conjunct;
 use crate::inject::{FaultAction, InjectPlan};
-use crate::linexpr::LinExpr;
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::var::Var;
@@ -124,8 +122,6 @@ pub struct CacheStats {
     pub simplify: OpCounts,
     /// Distinct conjuncts hash-consed into the arena.
     pub interned_conjuncts: u64,
-    /// Distinct linear expressions hash-consed into the arena.
-    pub interned_exprs: u64,
 }
 
 impl CacheStats {
@@ -172,7 +168,6 @@ impl CacheStats {
         self.gist.add(&other.gist);
         self.simplify.add(&other.simplify);
         self.interned_conjuncts += other.interned_conjuncts;
-        self.interned_exprs += other.interned_exprs;
     }
 
     /// `(name, counts)` rows in a stable order, for table rendering.
@@ -320,8 +315,6 @@ struct Shard {
     /// The id is the key of every per-conjunct memo table, so a conjunct
     /// is hashed in full at most once per distinct structure.
     conjuncts: HashMap<Conjunct, Id>,
-    /// Hash-consed linear expressions (used by the builder API).
-    exprs: HashMap<LinExpr, Id>,
     sat: MemoTable<Id, bool>,
     eliminate: MemoTable<(Id, Var), Result<Vec<Conjunct>, OmegaError>>,
     negate: MemoTable<Id, Result<Vec<Conjunct>, OmegaError>>,
@@ -342,7 +335,6 @@ impl Shard {
             gist: self.counts.gist,
             simplify: self.counts.simplify,
             interned_conjuncts: self.conjuncts.len() as u64,
-            interned_exprs: self.exprs.len() as u64,
         }
     }
 }
@@ -1115,13 +1107,6 @@ impl Context {
         Self::intern_in(&mut shard.conjuncts, cc, s)
     }
 
-    /// Hash-conses a linear expression, returning its interned id.
-    pub fn intern_expr(&self, e: &LinExpr) -> u32 {
-        let s = shard_of(e);
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        Self::intern_in(&mut shard.exprs, e, s)
-    }
-
     /// Interns `k` into one shard's slice of an interner. The id encodes
     /// the shard in its low bits (`id = local * SHARDS + shard`), so ids
     /// are globally unique and `id % SHARDS` recovers the owner.
@@ -1365,6 +1350,7 @@ pub(crate) fn join(a: Option<&Context>, b: Option<&Context>) -> Option<Context> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linexpr::LinExpr;
 
     #[test]
     fn interning_is_stable() {
