@@ -9,8 +9,8 @@
 //! 2. **Governor overhead** — compiles the Table 1 workloads (SP-4,
 //!    SP-sym, TOMCATV-sym) unarmed and armed with a generous budget
 //!    (nothing trips), and reports the wall-clock overhead of the
-//!    governor's fast-path checks. The budget gate is a relaxed atomic
-//!    load per memoized operation, so this should be noise (< 2%).
+//!    governor's checks. Unarmed, the gate is one thread-local read per
+//!    memoized operation, so this should be noise (< 2%).
 //!
 //! ```text
 //! chaos [--trials N] [--threads-list 1,2,...,8] [--threads N]

@@ -63,9 +63,7 @@ pub fn comm_sets(
     writes: &[CommRef],
     layout: &Layout,
 ) -> Result<CommSets, OmegaError> {
-    if let Some(cx) = layout.rel.context() {
-        cx.inject_check("comm_sets")?;
-    }
+    dhpf_omega::inject_check("comm_sets")?;
     let proc_rank = layout.proc_rank();
     let mut me = myid_set(proc_rank);
     me.set_context(layout.rel.context());
@@ -300,17 +298,18 @@ end
         let a = analyze(&prog.units[0]).unwrap();
         let ctx = dhpf_omega::Context::new();
         let layouts = crate::layout::build_layouts_in(&a, Some(&ctx));
-        ctx.set_budget(&dhpf_omega::Budget::new().op_fuel(0));
+        let gov = dhpf_omega::RequestGovernor::new(&dhpf_omega::Budget::new().op_fuel(0), None);
+        let armed = gov.arm_on_thread();
         // Trip the governor, then demand the fallback: it must still be
         // exact (grace scope), not merely non-panicking.
         let probe = ctx.parse_set("{[i] : 1 <= i <= 2}").unwrap();
         assert!(probe.try_subtract(&probe).is_err());
-        assert!(ctx.budget_tripped());
+        assert!(gov.tripped());
         let sets = conservative_comm_sets(&layouts["b"]);
         // Membership checks go through governed satisfiability, which
-        // degrades to "maybe" while tripped — clear the budget so the
+        // degrades to "maybe" while tripped — disarm the governor so the
         // assertions below are exact.
-        ctx.clear_budget();
+        drop(armed);
         let m0 = [("m1", 0i64)];
         assert!(sets.send_map.contains_pair(&[1], &[25], &m0));
         assert!(!sets.send_map.contains_pair(&[1], &[26], &m0));

@@ -456,24 +456,22 @@ pub fn compile_with(
 }
 
 fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compiled, CompileError> {
-    ctx.set_collector(opts.trace.clone());
-    // Budget and cancellation are enforced by a *request-scoped* governor
-    // armed on this thread (and re-armed on every worker thread), not by
-    // arming the shared context: a long-lived serving context compiles
-    // many concurrent requests, and a context-global deadline would let
-    // one slow client trip every in-flight compilation. Fault injection
-    // stays context-global — chaos harnesses own their context.
-    let governed =
-        opts.budget != Budget::default() || opts.cancel.is_some() || opts.inject.is_some();
-    let scoped = if opts.budget != Budget::default() || opts.cancel.is_some() {
-        Some(RequestGovernor::new(&opts.budget, opts.cancel.clone()))
-    } else {
-        None
-    };
-    let _armed = scoped.as_ref().map(RequestGovernor::arm_on_thread);
-    if opts.inject.is_some() {
-        ctx.set_inject(opts.inject.clone());
-    }
+    // Everything per-request — budget, cancellation, fault injection and
+    // the trace collector — rides on one *request-scoped* governor armed
+    // on this thread (and re-armed on every worker thread), never on the
+    // shared context: a long-lived serving context compiles many
+    // concurrent requests, and a context-wide deadline, plan or collector
+    // would reach every in-flight compilation.
+    let governor = (opts.budget != Budget::default()
+        || opts.cancel.is_some()
+        || opts.inject.is_some()
+        || opts.trace.is_some())
+    .then(|| {
+        RequestGovernor::new(&opts.budget, opts.cancel.clone())
+            .with_inject(opts.inject.clone())
+            .with_collector(opts.trace.clone())
+    });
+    let _armed = governor.as_ref().map(RequestGovernor::arm_on_thread);
     // The isolation boundary: a panic anywhere in the pipeline (organic or
     // injected) becomes a typed `CompileError::Internal` instead of
     // unwinding into the caller. Nest and assembly tasks are additionally
@@ -483,31 +481,23 @@ fn compile_impl(ctx: &Context, src: &str, opts: &CompileOptions) -> Result<Compi
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         compile_inner(ctx, src, opts)
     }));
-    // Read the governed abort state while the scoped governor is still
-    // armed: a failure that unwound while cancellation was requested or
-    // the budget was tripped is downstream of that abort, not an
-    // independent compiler bug. Some infallible set-algebra entry points
-    // (`domain`, `then`, projection) surface a governed abort by panicking
-    // — the contained panic is translated back to its typed error here.
-    let aborted = if governed {
-        if opts
-            .cancel
-            .as_ref()
-            .is_some_and(dhpf_omega::CancelToken::is_cancelled)
-        {
-            Some(CompileError::Cancelled)
-        } else {
-            ctx.governor_stats().tripped.map(CompileError::Budget)
-        }
+    // A failure that unwound while cancellation was requested or the
+    // budget was tripped is downstream of that abort, not an independent
+    // compiler bug. Some infallible set-algebra entry points (`domain`,
+    // `then`, projection) surface a governed abort by panicking — the
+    // contained panic is translated back to its typed error here.
+    let aborted = if opts
+        .cancel
+        .as_ref()
+        .is_some_and(dhpf_omega::CancelToken::is_cancelled)
+    {
+        Some(CompileError::Cancelled)
     } else {
-        None
+        governor
+            .as_ref()
+            .and_then(|g| g.stats().tripped)
+            .map(CompileError::Budget)
     };
-    // Disarm: the scoped governor dies with its guard; injection is the
-    // one context-global knob this function arms.
-    if opts.inject.is_some() {
-        ctx.set_inject(None);
-    }
-    ctx.set_collector(None);
     match out {
         Ok(Err(CompileError::Internal(m))) => Err(match aborted {
             Some(e) => e,
@@ -542,7 +532,7 @@ fn compile_inner(
     // Cancellation checkpoints between phases keep aborts prompt even when
     // the set operations in flight are the infallible ones; the per-nest
     // checkpoint in synthesis covers the long tail.
-    ctx.check_cancelled()?;
+    dhpf_omega::check_cancelled()?;
     let prog = timers.time("parsing", |_| parse(src))?;
     if prog.units.is_empty() {
         return Err(CompileError::Unsupported("no program units".to_string()));
@@ -556,7 +546,7 @@ fn compile_inner(
             .collect::<Result<Vec<_>, _>>()
     })?;
     let units = analyses.len();
-    ctx.check_cancelled()?;
+    dhpf_omega::check_cancelled()?;
     let main_idx = prog.units.iter().position(|u| u.is_program).unwrap_or(0);
     let mut compiled: Option<(SpmdProgram, SpmdStats)> = None;
     timers.time("module compilation", |t| {
@@ -572,9 +562,11 @@ fn compile_inner(
     timers.finish();
     let cache = ctx.stats();
     timers.set_cache_stats(cache.clone());
-    // Read while still armed: `compile_impl` disarms after we return.
-    let governor = ctx.governor_stats();
-    let injected_faults = ctx.inject_fired();
+    // The request's governor, armed by `compile_impl` (none when the
+    // options carry no budget, token, plan or collector).
+    let gov = RequestGovernor::current();
+    let governor = gov.as_ref().map(RequestGovernor::stats).unwrap_or_default();
+    let injected_faults = gov.as_ref().map_or(0, RequestGovernor::injected_faults);
     if let Some((c, id)) = root {
         c.counter_on(id, "units", units as i64);
         c.counter_on(id, "comm events", stats.comm_events as i64);
@@ -660,8 +652,9 @@ fn compile_units(
     // Stitch worker spans under the open "module compilation" phase span.
     let anchor = t.collector().cloned().zip(t.current_span());
     // Capture the caller's request governor so each pool task re-arms it:
-    // worker threads then spend from the same fuel pool and observe the
-    // same deadline/cancellation as the submitting thread.
+    // worker threads then spend from the same fuel pool, observe the same
+    // deadline/cancellation, count the same injection sites and record
+    // set-op samples into the same trace as the submitting thread.
     let governor = RequestGovernor::current();
     type UnitResult = Result<(SpmdProgram, SpmdStats), CompileError>;
     let nest_slots: Vec<Mutex<Option<Result<NestOut, CompileError>>>> =

@@ -832,21 +832,19 @@ fn var_in_distributed_subscript(
 /// Cancellation is checked at entry (nests are the driver's unit of
 /// progress) and is never absorbed by the ladder.
 fn build_nest(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError> {
-    if let Some(cx) = synth.octx.clone() {
-        cx.check_cancelled()?;
-        if let Err(e) = cx.inject_check("nest") {
-            let e = CompileError::from(e);
-            if !degradable(&e) {
-                return Err(e);
-            }
-            synth.degrade(
-                "nest",
-                None,
-                &e,
-                "replicated nest with conservative refresh",
-            );
-            return build_nest_replicated(synth, body);
+    dhpf_omega::check_cancelled()?;
+    if let Err(e) = dhpf_omega::inject_check("nest") {
+        let e = CompileError::from(e);
+        if !degradable(&e) {
+            return Err(e);
         }
+        synth.degrade(
+            "nest",
+            None,
+            &e,
+            "replicated nest with conservative refresh",
+        );
+        return build_nest_replicated(synth, body);
     }
     let events_mark = synth.events.len();
     let stats_mark = synth.stats.clone();
@@ -856,21 +854,17 @@ fn build_nest(synth: &mut Synth, body: &[Stmt]) -> Result<NestItem, CompileError
     // Panics with an untripped budget are genuine bugs (or injected
     // panics probing unwind isolation) and are re-raised to the driver's
     // isolation boundary.
-    let tripped_panic = |synth: &Synth| {
-        synth
-            .octx
-            .as_ref()
-            .and_then(|cx| cx.governor_stats().tripped)
-    };
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         build_nest_exact(synth, body)
     }));
     let attempt = match attempt {
         Ok(r) => r,
-        Err(payload) => match tripped_panic(synth) {
-            Some(what) => Err(CompileError::Budget(what)),
-            None => std::panic::resume_unwind(payload),
-        },
+        Err(payload) => {
+            match dhpf_omega::RequestGovernor::current().and_then(|g| g.stats().tripped) {
+                Some(what) => Err(CompileError::Budget(what)),
+                None => std::panic::resume_unwind(payload),
+            }
+        }
     };
     match attempt {
         Ok(item) => Ok(item),

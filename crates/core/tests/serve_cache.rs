@@ -1,9 +1,15 @@
 //! The serving-tier cache contract: a long-lived context makes repeat
-//! compilations strictly cheaper, and bounding it with cost-aware
-//! eviction never changes what the compiler produces.
+//! compilations strictly cheaper, bounding it with cost-aware eviction
+//! never changes what the compiler produces, and concurrent requests on it
+//! never see each other's budget, injected faults or trace.
 
-use dhpf_core::{compile_with, process_request, CompileOptions, CompileRequest};
-use dhpf_omega::Context;
+use dhpf_core::{compile_with, process_request, CompileError, CompileOptions, CompileRequest};
+use dhpf_obs::Collector;
+use dhpf_omega::{Budget, Context, FaultAction, GovernorStats, InjectPlan};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
+
+const TOMCATV: &str = include_str!("../../../benchmarks/tomcatv.hpf");
 
 const JACOBI: &str = "
 program jacobi
@@ -134,4 +140,90 @@ fn capacity_knob_is_dynamic() {
         ctx.stats().total_evictions() > 0,
         "tightened capacity never evicted"
     );
+}
+
+/// Per-request state stays per request: while neighbours on the same
+/// context run TOMCATV under a period-1 fault plan, under a trace, and
+/// starved of op fuel, every plain JACOBI compile is exactly the solo
+/// compile — same program, no degradations, no injected faults, an
+/// untouched governor — and every traced compile has one span tree rooted
+/// at `compile`, with no `(unattributed)` spill from a neighbour.
+#[test]
+fn concurrent_requests_never_share_governance() {
+    const PLAIN_RUNS: usize = 12;
+    let solo = compile_with(&Context::new(), JACOBI, &CompileOptions::default()).unwrap();
+    let solo_program = format!("{:?}", solo.program);
+    assert!(solo.report.stats.degradations.is_empty());
+
+    let ctx = Context::new();
+    let start = Barrier::new(4);
+    let done = AtomicBool::new(false);
+    // All four threads start together; each neighbour then keeps compiling
+    // until the plain compiles are finished, so every plain compile runs
+    // while all three neighbours are active.
+    let neighbour = |compile_once: &(dyn Fn() + Sync)| {
+        start.wait();
+        loop {
+            compile_once();
+            if done.load(Ordering::Relaxed) {
+                break;
+            }
+        }
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            neighbour(&|| {
+                let plan = InjectPlan::new(7, 1, FaultAction::Error).at_site("comm_sets");
+                let c = compile_with(&ctx, TOMCATV, &CompileOptions::new().inject(plan)).unwrap();
+                assert!(c.report.injected_faults > 0, "the plan never fired");
+            });
+        });
+        scope.spawn(|| {
+            neighbour(&|| {
+                let obs = Collector::new();
+                let opts = CompileOptions::new().trace(obs.clone());
+                compile_with(&ctx, TOMCATV, &opts).unwrap();
+                let trace = obs.trace();
+                let roots = trace.roots();
+                assert_eq!(roots.len(), 1, "traced compile has {} roots", roots.len());
+                assert_eq!(trace.nodes[roots[0]].name, "compile");
+                assert!(trace.find("(unattributed)").is_none());
+            });
+        });
+        scope.spawn(|| {
+            neighbour(&|| {
+                let opts = CompileOptions::new().budget(Budget::new().op_fuel(50));
+                match compile_with(&ctx, TOMCATV, &opts) {
+                    Ok(c) => assert_eq!(c.report.governor.tripped, Some("op fuel")),
+                    Err(e) => assert!(matches!(e, CompileError::Budget(_)), "{e}"),
+                }
+            });
+        });
+        // Release the neighbours even if an assertion below fails.
+        let _release = SetOnDrop(&done);
+        start.wait();
+        for run in 0..PLAIN_RUNS {
+            let c = compile_with(&ctx, JACOBI, &CompileOptions::default()).unwrap();
+            assert!(
+                format!("{:?}", c.program) == solo_program,
+                "run {run}: plain compile differs from the solo compile"
+            );
+            assert!(
+                c.report.stats.degradations.is_empty(),
+                "run {run}: plain compile degraded: {:?}",
+                c.report.stats.degradations
+            );
+            assert_eq!(c.report.injected_faults, 0, "run {run}");
+            assert_eq!(c.report.governor, GovernorStats::default(), "run {run}");
+        }
+    });
+}
+
+/// Raises its flag when dropped, on success and on unwind alike.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }

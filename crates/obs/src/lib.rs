@@ -27,9 +27,10 @@
 //! - **Observation equivalence**: recording never feeds back into any
 //!   computation; a compile with a collector attached must produce output
 //!   bit-identical to one without.
-//! - **Disabled-path cost**: producers gate on `Option<&Collector>` (or an
-//!   atomic flag), so a pipeline without tracing pays at most one relaxed
-//!   atomic load per candidate event.
+//! - **Disabled-path cost**: producers gate on `Option<&Collector>` (or a
+//!   flag, such as the Omega substrate's thread-local governor gate), so a
+//!   pipeline without tracing pays at most one flag read per candidate
+//!   event.
 //! - **Self-time vs cumulative time**: a span's duration includes its
 //!   children (like the paper's Table 1, where indented rows refine their
 //!   parents); [`Trace::self_ns`] subtracts the children explicitly so no

@@ -1,21 +1,30 @@
-//! Resource governance: compile budgets and cooperative cancellation.
+//! Per-request governance: compile budgets, cooperative cancellation,
+//! fault injection and tracing.
 //!
 //! A [`Budget`] bounds what one compilation may spend inside the Omega
 //! substrate — wall-clock time, a fuel count of memoized set operations,
 //! and the piece/fuel limits that keep exact negation and FME from
-//! exploding combinatorially. Arm it on a [`Context`](crate::Context) with
-//! [`Context::set_budget`](crate::Context::set_budget); every memoized
-//! operation then checks the budget at entry. A [`CancelToken`] is the
-//! sharper tool: tripping it makes the next fallible operation return
-//! [`OmegaError::Cancelled`](crate::OmegaError::Cancelled) so the whole
-//! compilation aborts with a typed error.
+//! exploding combinatorially. A [`CancelToken`] is the sharper tool:
+//! tripping it makes the next fallible operation return
+//! [`OmegaError::Cancelled`] so the whole compilation aborts with a typed
+//! error.
+//!
+//! Both ride on a [`RequestGovernor`], together with an optional
+//! [`InjectPlan`] and trace [`Collector`]. The governor is armed on the
+//! threads working on one request, never on the shared
+//! [`Context`](crate::Context): every memoized operation consults the
+//! calling thread's governor at entry (one thread-local read when none is
+//! armed), so concurrent requests on one context never see each other's
+//! budget, faults or trace.
 //!
 //! The distinction matters downstream: budget exhaustion means "stop
 //! spending, a conservative answer is fine" (the driver degrades to
 //! conservative communication), while cancellation means "the caller no
 //! longer wants any answer" (the driver aborts).
 
+use crate::inject::{FaultAction, InjectPlan, Injector};
 use crate::OmegaError;
+use dhpf_obs::Collector;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -33,8 +42,8 @@ use std::time::{Duration, Instant};
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Budget {
-    /// Wall-clock deadline in milliseconds, measured from the moment the
-    /// budget is armed on a context. `None` = no deadline.
+    /// Wall-clock deadline in milliseconds, measured from the moment a
+    /// [`RequestGovernor`] is created for the budget. `None` = no deadline.
     pub deadline_ms: Option<u64>,
     /// Total memoized Omega operations (sat, FME, negation, gist,
     /// simplify) the compilation may charge. `None` = unlimited.
@@ -102,12 +111,6 @@ impl Budget {
         self.stride_fuel = fuel;
         self
     }
-
-    /// True if neither a deadline nor op fuel is set (only the exactness
-    /// limits apply, which cost nothing to enforce).
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline_ms.is_none() && self.op_fuel.is_none()
-    }
 }
 
 /// A shared cancellation flag. Clones observe the same flag, so the token
@@ -137,25 +140,25 @@ impl CancelToken {
 }
 
 /// Process-wide monotonic anchor for deadline arithmetic: deadlines are
-/// stored as microseconds-since-anchor in one `AtomicU64`, so the per-op
+/// stored as microseconds-since-anchor in one `u64`, so the per-op
 /// check is a clock read and a compare — no lock, no `Instant` in shared
 /// state.
-pub(crate) fn anchor() -> Instant {
+fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     *ANCHOR.get_or_init(Instant::now)
 }
 
 /// Microseconds elapsed since [`anchor`], saturating.
-pub(crate) fn now_us() -> u64 {
+fn now_us() -> u64 {
     u64::try_from(anchor().elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Trip-reason codes (0 = not tripped), shared with the context governor.
-pub(crate) const TRIP_DEADLINE: u8 = 1;
-pub(crate) const TRIP_FUEL: u8 = 2;
-pub(crate) const TRIP_INJECTED: u8 = 3;
+/// Trip-reason codes (0 = not tripped).
+const TRIP_DEADLINE: u8 = 1;
+const TRIP_FUEL: u8 = 2;
+const TRIP_INJECTED: u8 = 3;
 
-pub(crate) fn trip_reason(code: u8) -> Option<&'static str> {
+fn trip_reason(code: u8) -> Option<&'static str> {
     match code {
         TRIP_DEADLINE => Some("deadline"),
         TRIP_FUEL => Some("op fuel"),
@@ -175,33 +178,38 @@ struct GovernorInner {
     trip_code: AtomicU8,
     charged: AtomicU64,
     degraded: AtomicU64,
-    /// Exactness limits carried by the request's [`Budget`].
-    max_negation_pieces: usize,
-    subsume_negation_pieces: usize,
-    stride_fuel: u32,
+    /// The request's budget; the exactness limits are read from here.
+    budget: Budget,
     /// True when the exactness limits differ from [`Budget::default`]:
     /// memoized results then bypass the shared cache entirely, because an
     /// entry computed under tighter (or looser) limits is not
     /// interchangeable with one computed under the defaults.
     non_default_limits: bool,
+    /// False for a governor that carries only a trace collector: its ops
+    /// are sampled but not charged, so a traced compile reports the same
+    /// [`GovernorStats`] as an untraced one.
+    enforcing: bool,
+    inject: Option<Injector>,
+    obs: Option<Collector>,
 }
 
-/// A **per-request** governor: the same deadline/fuel/cancellation
-/// enforcement as [`Context::set_budget`](crate::Context::set_budget), but
-/// scoped to the requesting thread (and any worker threads that re-arm it)
-/// instead of the whole shared context.
+/// A **per-request** governor: deadline/fuel/cancellation enforcement,
+/// fault injection and trace sampling, scoped to the requesting thread
+/// (and any worker threads that re-arm it).
 ///
 /// This is what lets a long-lived serving context compile many concurrent
-/// requests, each under its *own* budget: arming a budget context-wide
-/// would let one slow client's deadline trip every in-flight compilation.
-/// The governor is `Arc`-shared — clone it into worker tasks and call
+/// requests, each under its *own* budget, plan and trace: nothing here is
+/// stored on the shared [`Context`](crate::Context), so one slow client's
+/// deadline, one chaos run's faults or one traced request's collector
+/// never reach a sibling compilation. The governor is `Arc`-shared —
+/// clone it into worker tasks and call
 /// [`arm_on_thread`](Self::arm_on_thread) there so every thread working on
-/// the request spends from one fuel pool and observes one deadline.
+/// the request spends from one fuel pool, observes one deadline, counts
+/// one set of injection sites and records into one trace.
 ///
 /// The `dhpf-core` driver arms one automatically whenever
-/// `CompileOptions` carries a budget or cancel token; context-global
-/// arming via `set_budget` remains available for callers that own their
-/// context exclusively.
+/// `CompileOptions` carries a budget, a cancel token, an injection plan or
+/// a trace collector.
 #[derive(Clone)]
 pub struct RequestGovernor {
     inner: Arc<GovernorInner>,
@@ -217,23 +225,127 @@ impl std::fmt::Debug for RequestGovernor {
 
 thread_local! {
     /// The request governor armed on the current thread, if any. A fast
-    /// boolean gate keeps the unarmed `charge` path to one thread-local
-    /// read.
+    /// boolean gate keeps the unarmed paths to one thread-local read.
     static REQ_GOV: RefCell<Option<RequestGovernor>> = const { RefCell::new(None) };
     static REQ_GOV_ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Nesting depth of [`governor_grace`] scopes on the current thread.
+    static GRACE_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// True if a request governor is armed on the current thread.
-pub(crate) fn request_governor_armed() -> bool {
-    REQ_GOV_ARMED.with(Cell::get)
-}
-
-/// The request governor armed on the current thread, if any.
-pub(crate) fn current_request_governor() -> Option<RequestGovernor> {
-    if !request_governor_armed() {
+/// Runs `f` on the governor armed on the calling thread (`None` if there
+/// is none). Borrows in place: the hot path neither clones nor touches a
+/// reference count.
+fn with_governor<R>(f: impl FnOnce(&RequestGovernor) -> R) -> Option<R> {
+    if !REQ_GOV_ARMED.with(Cell::get) {
         return None;
     }
-    REQ_GOV.with(|g| g.borrow().clone())
+    REQ_GOV.with_borrow(|g| g.as_ref().map(f))
+}
+
+/// Suspends budget enforcement and fault injection on the *current thread*
+/// until the returned guard drops; cancellation stays live.
+///
+/// The degraded rebuild that runs after a budget trip must itself perform
+/// set algebra — conservative communication maps still pass through code
+/// generation, which subtracts conjuncts — and without a grace scope those
+/// operations would fail with the very `BudgetExceeded` the rebuild is
+/// recovering from. The scope is thread-local so sibling compile tasks on
+/// other worker threads remain fully governed; it nests, and it suspends
+/// injection too, so a fallback can never be re-injected into an
+/// escalation loop.
+#[must_use = "enforcement resumes when the guard drops"]
+pub fn governor_grace() -> GraceGuard {
+    GRACE_DEPTH.with(|d| d.set(d.get() + 1));
+    GraceGuard { _priv: () }
+}
+
+/// RAII scope of [`governor_grace`].
+pub struct GraceGuard {
+    _priv: (),
+}
+
+impl Drop for GraceGuard {
+    fn drop(&mut self) {
+        GRACE_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+    }
+}
+
+fn in_grace() -> bool {
+    GRACE_DEPTH.with(Cell::get) > 0
+}
+
+/// Cancellation checkpoint of the calling thread's request:
+/// `Err(Cancelled)` once the armed governor's token has tripped. The
+/// driver calls this between phases and at nest entry so cancellation is
+/// prompt even when the set operations in flight are the infallible ones
+/// (sat/gist/simplify) that cannot propagate an error.
+///
+/// # Errors
+///
+/// [`OmegaError::Cancelled`] once the request was cancelled.
+pub fn check_cancelled() -> Result<(), OmegaError> {
+    if with_governor(RequestGovernor::cancelled) == Some(true) {
+        Err(OmegaError::Cancelled)
+    } else {
+        Ok(())
+    }
+}
+
+/// Fault-injection checkpoint for a named host site (the dHPF driver uses
+/// `"comm_sets"` and `"nest"`), against the plan of the calling thread's
+/// governor. Suspended inside a [`governor_grace`] scope so the degraded
+/// rebuild that follows an injected fault cannot be re-injected into an
+/// escalation loop. The memoized Omega operations pass through the same
+/// check at entry. No locks are held when an injected panic unwinds.
+///
+/// # Errors
+///
+/// The injected error when the plan fires here.
+pub fn inject_check(site: &'static str) -> Result<(), OmegaError> {
+    if in_grace() {
+        return Ok(());
+    }
+    with_governor(|g| g.inject(site)).unwrap_or(Ok(()))
+}
+
+/// Reads one exactness limit in force on the calling thread: from the
+/// armed governor's budget, or from [`Budget::default`].
+pub(crate) fn exactness_limit<T>(f: impl Fn(&Budget) -> T) -> T {
+    with_governor(|g| f(&g.inner.budget)).unwrap_or_else(|| f(&Budget::default()))
+}
+
+/// RAII sample of one set operation: on drop, records the call (count,
+/// duration, input-size histogram) on the request's collector, under the
+/// calling thread's innermost open span. Created *first* in each memoized
+/// operation so it drops *last* — after any shard `MutexGuard` — keeping
+/// the collector's lock disjoint from the shard locks.
+pub(crate) struct OpTrace {
+    obs: Collector,
+    op: &'static str,
+    size: u64,
+    t0: Instant,
+}
+
+impl Drop for OpTrace {
+    fn drop(&mut self) {
+        self.obs.record_op(self.op, self.t0.elapsed(), self.size);
+    }
+}
+
+/// Entry checkpoint of a memoized Omega operation, answered by the
+/// governor armed on the calling thread: starts the op's trace sample
+/// (named `traced_as`, with input size `size()`) when the request is
+/// traced, charges the op at injection site `site`, and says whether the
+/// result may use the shared memo tables. `Err` means the op must not run:
+/// fallible operations propagate it (uncached — budget errors must never
+/// be memoized), infallible ones substitute a sound conservative answer.
+/// With no governor armed this is one thread-local read.
+pub(crate) fn admit_op(
+    site: &'static str,
+    traced_as: &'static str,
+    size: impl FnOnce() -> u64,
+) -> (Option<OpTrace>, Result<bool, OmegaError>) {
+    with_governor(|g| g.admit(site, traced_as, size)).unwrap_or((None, Ok(true)))
 }
 
 impl RequestGovernor {
@@ -252,31 +364,73 @@ impl RequestGovernor {
             inner: Arc::new(GovernorInner {
                 fuel: AtomicU64::new(budget.op_fuel.unwrap_or(u64::MAX)),
                 deadline_us,
+                enforcing: *budget != d || cancel.is_some(),
                 cancel,
                 tripped: AtomicBool::new(false),
                 trip_code: AtomicU8::new(0),
                 charged: AtomicU64::new(0),
                 degraded: AtomicU64::new(0),
-                max_negation_pieces: budget.max_negation_pieces,
-                subsume_negation_pieces: budget.subsume_negation_pieces,
-                stride_fuel: budget.stride_fuel,
+                budget: budget.clone(),
                 non_default_limits,
+                inject: None,
+                obs: None,
             }),
         }
+    }
+
+    /// Mutable access while the governor is still being configured.
+    ///
+    /// # Panics
+    ///
+    /// If the governor was already cloned or armed: a plan or collector
+    /// must be attached before the request starts.
+    fn configure(&mut self) -> &mut GovernorInner {
+        Arc::get_mut(&mut self.inner).expect("configure a RequestGovernor before sharing it")
+    }
+
+    /// Carries a deterministic fault-injection plan (`None` = none): its
+    /// sites fire only on threads armed with this governor, with per-site
+    /// arrival counters that start at zero.
+    ///
+    /// # Panics
+    ///
+    /// If the governor was already cloned or armed.
+    #[must_use]
+    pub fn with_inject(mut self, plan: Option<InjectPlan>) -> Self {
+        let inner = self.configure();
+        inner.enforcing |= plan.is_some();
+        inner.inject = plan.map(Injector::new);
+        self
+    }
+
+    /// Carries a trace collector (`None` = untraced): every memoized set
+    /// operation — satisfiability, FME projection, negation, gist,
+    /// simplify; cache hit or miss alike — run under this governor records
+    /// a count/duration/size sample on the calling thread's innermost open
+    /// span. Works with memoization disabled too, so `--no-cache` ablations
+    /// still report their set-operation mix.
+    ///
+    /// # Panics
+    ///
+    /// If the governor was already cloned or armed.
+    #[must_use]
+    pub fn with_collector(mut self, obs: Option<Collector>) -> Self {
+        self.configure().obs = obs;
+        self
     }
 
     /// The governor armed on the calling thread, if any. A worker pool
     /// captures this on the submitting thread and re-arms it (via
     /// [`arm_on_thread`](Self::arm_on_thread)) on each pool thread, so
-    /// every task of a request runs under that request's budget.
+    /// every task of a request runs under that request's governor.
     pub fn current() -> Option<RequestGovernor> {
-        current_request_governor()
+        with_governor(RequestGovernor::clone)
     }
 
     /// Arms this governor on the current thread until the guard drops.
     /// Nested arming restores the previous governor on drop, so scopes
     /// compose; the same governor may be armed on many threads at once
-    /// (they share fuel, deadline, and counters).
+    /// (they share fuel, deadline, injection counters and counters).
     #[must_use = "enforcement stops when the guard drops"]
     pub fn arm_on_thread(&self) -> RequestGovernorGuard {
         let prev = REQ_GOV.with(|g| g.borrow_mut().replace(self.clone()));
@@ -284,19 +438,42 @@ impl RequestGovernor {
         RequestGovernorGuard { prev }
     }
 
-    /// Charges one governed operation. Mirrors the context-global
-    /// governor: cancellation always aborts; a grace scope (see
-    /// [`governor_grace`](crate::governor_grace)) suspends budget
-    /// enforcement; otherwise fuel is spent and the deadline checked, and
-    /// once tripped every further charge is refused with the trip reason.
-    pub(crate) fn charge(&self, in_grace: bool) -> Result<(), OmegaError> {
+    #[cold]
+    fn admit(
+        &self,
+        site: &'static str,
+        traced_as: &'static str,
+        size: impl FnOnce() -> u64,
+    ) -> (Option<OpTrace>, Result<bool, OmegaError>) {
         let i = &self.inner;
-        if i.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
+        let trace = i.obs.as_ref().map(|obs| OpTrace {
+            obs: obs.clone(),
+            op: traced_as,
+            size: size(),
+            t0: Instant::now(),
+        });
+        let charged = if i.enforcing {
+            self.charge(site)
+        } else {
+            Ok(())
+        };
+        (trace, charged.map(|()| !i.non_default_limits))
+    }
+
+    /// Charges one governed operation: cancellation always aborts; a grace
+    /// scope (see [`governor_grace`]) suspends injection and budget
+    /// enforcement; otherwise the plan may fire at `site`, fuel is spent
+    /// and the deadline checked, and once tripped every further charge is
+    /// refused with the trip reason.
+    fn charge(&self, site: &'static str) -> Result<(), OmegaError> {
+        let i = &self.inner;
+        if self.cancelled() {
             return Err(OmegaError::Cancelled);
         }
-        if in_grace {
+        if in_grace() {
             return Ok(());
         }
+        self.inject(site)?;
         i.charged.fetch_add(1, Ordering::Relaxed);
         if !i.tripped.load(Ordering::Relaxed) {
             let fuel = i.fuel.load(Ordering::Relaxed);
@@ -320,7 +497,23 @@ impl RequestGovernor {
         Ok(())
     }
 
+    /// Lets the plan (if any) decide the next arrival at `site`.
+    fn inject(&self, site: &'static str) -> Result<(), OmegaError> {
+        let i = &self.inner;
+        match i.inject.as_ref().and_then(|inj| inj.arrive(site)) {
+            None => Ok(()),
+            Some(FaultAction::Error) => Err(OmegaError::InexactNegation),
+            Some(FaultAction::Panic) => panic!("injected panic at site {site}"),
+            Some(FaultAction::ExhaustBudget) => {
+                self.trip(TRIP_INJECTED);
+                i.degraded.fetch_add(1, Ordering::Relaxed);
+                Err(OmegaError::BudgetExceeded("injected"))
+            }
+        }
+    }
+
     fn trip(&self, code: u8) {
+        // First tripper wins the reason; later trips keep it.
         let _ =
             self.inner
                 .trip_code
@@ -328,12 +521,15 @@ impl RequestGovernor {
         self.inner.tripped.store(true, Ordering::Relaxed);
     }
 
-    /// The armed cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.inner.cancel.as_ref()
+    fn cancelled(&self) -> bool {
+        self.inner
+            .cancel
+            .as_ref()
+            .is_some_and(CancelToken::is_cancelled)
     }
 
-    /// True once the deadline passed or the fuel ran out.
+    /// True once the deadline passed, the fuel ran out, or the plan
+    /// injected a budget exhaustion.
     pub fn tripped(&self) -> bool {
         self.inner.tripped.load(Ordering::Relaxed)
     }
@@ -347,20 +543,10 @@ impl RequestGovernor {
         }
     }
 
-    pub(crate) fn max_negation_pieces(&self) -> usize {
-        self.inner.max_negation_pieces
-    }
-
-    pub(crate) fn subsume_negation_pieces(&self) -> usize {
-        self.inner.subsume_negation_pieces
-    }
-
-    pub(crate) fn stride_fuel(&self) -> u32 {
-        self.inner.stride_fuel
-    }
-
-    pub(crate) fn non_default_limits(&self) -> bool {
-        self.inner.non_default_limits
+    /// How many times the carried injection plan has fired (0 without a
+    /// plan).
+    pub fn injected_faults(&self) -> u64 {
+        self.inner.inject.as_ref().map_or(0, Injector::fired)
     }
 }
 
@@ -378,7 +564,7 @@ impl Drop for RequestGovernorGuard {
     }
 }
 
-/// Counters reported by [`Context::governor_stats`](crate::Context::governor_stats):
+/// Counters reported by [`RequestGovernor::stats`]:
 /// how much work the governor saw and whether it tripped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GovernorStats {
@@ -409,8 +595,6 @@ mod tests {
         assert_eq!(b.max_negation_pieces, 9);
         assert_eq!(b.subsume_negation_pieces, 3);
         assert_eq!(b.stride_fuel, 7);
-        assert!(!b.is_unlimited());
-        assert!(Budget::default().is_unlimited());
     }
 
     #[test]

@@ -38,25 +38,20 @@
 //! # Ok::<(), dhpf_omega::OmegaError>(())
 //! ```
 
-use crate::budget::{
-    anchor, current_request_governor, now_us, request_governor_armed, trip_reason, Budget,
-    CancelToken, GovernorStats, TRIP_DEADLINE, TRIP_FUEL, TRIP_INJECTED,
-};
+use crate::budget::admit_op;
 use crate::builder::{RelationBuilder, SetBuilder};
 use crate::conjunct::Conjunct;
-use crate::inject::{FaultAction, InjectPlan};
 use crate::relation::Relation;
 use crate::set::Set;
 use crate::var::Var;
 use crate::OmegaError;
-use dhpf_obs::Collector;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default maximum total entries per memo table (summed across shards).
 /// Keeps long compilations bounded; one compilation of the paper's
@@ -286,10 +281,6 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
     fn len(&self) -> usize {
         self.map.len()
     }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// Per-shard hit/miss/eviction counters, one [`OpCounts`] per memoized
@@ -339,109 +330,16 @@ impl Shard {
     }
 }
 
-thread_local! {
-    /// Nesting depth of [`governor_grace`] scopes on the current thread.
-    static GRACE_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Suspends budget enforcement and fault injection on the *current thread*
-/// until the returned guard drops; cancellation stays live.
-///
-/// The degraded rebuild that runs after a budget trip must itself perform
-/// set algebra — conservative communication maps still pass through code
-/// generation, which subtracts conjuncts — and without a grace scope those
-/// operations would fail with the very `BudgetExceeded` the rebuild is
-/// recovering from. The scope is thread-local so sibling compile tasks on
-/// other worker threads remain fully governed; it nests, and it suspends
-/// injection too, so a fallback can never be re-injected into an
-/// escalation loop.
-#[must_use = "enforcement resumes when the guard drops"]
-pub fn governor_grace() -> GraceGuard {
-    GRACE_DEPTH.with(|d| d.set(d.get() + 1));
-    GraceGuard { _priv: () }
-}
-
-/// RAII scope of [`governor_grace`].
-pub struct GraceGuard {
-    _priv: (),
-}
-
-impl Drop for GraceGuard {
-    fn drop(&mut self) {
-        GRACE_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-    }
-}
-
-fn in_grace() -> bool {
-    GRACE_DEPTH.with(std::cell::Cell::get) > 0
-}
-
-/// Mutable fault-injection bookkeeping, behind one mutex that is only
-/// touched when a plan is armed (the `governed` gate keeps it off the
-/// ungoverned hot path). Per-site hit counters make decisions a pure
-/// function of `(seed, site, count)` regardless of thread interleaving
-/// *per site*.
-#[derive(Default)]
-struct InjectState {
-    plan: Option<InjectPlan>,
-    counts: HashMap<&'static str, u64>,
-    fired: u64,
-}
-
+/// Everything a context shares: the enabled flag, the memo capacity and
+/// the sharded interner and memo tables. Per-request state — budget,
+/// cancellation, fault injection, tracing — lives on the calling thread's
+/// [`RequestGovernor`](crate::RequestGovernor), never here.
 struct Inner {
     enabled: AtomicBool,
-    /// Fast gate for the trace hook: `true` iff `obs` holds a collector.
-    /// Kept separate so the untraced hot path pays one relaxed load.
-    traced: AtomicBool,
-    /// The attached trace collector (see [`Context::set_collector`]).
-    obs: Mutex<Option<Collector>>,
-    /// Fast gate for the resource governor: `true` iff a deadline, op
-    /// fuel, a cancel token, or an injection plan is armed (or the budget
-    /// already tripped). When `false`, `charge` is one relaxed load.
-    governed: AtomicBool,
-    /// Sticky once the budget trips; `trip_code` says why.
-    tripped: AtomicBool,
-    trip_code: AtomicU8,
-    /// Remaining op fuel; `u64::MAX` = unlimited.
-    fuel: AtomicU64,
-    /// Deadline in microseconds since [`anchor`]; `u64::MAX` = none.
-    deadline_us: AtomicU64,
-    /// Fast gate for the cancel check (avoids the mutex when unarmed).
-    cancel_armed: AtomicBool,
-    cancel: Mutex<Option<CancelToken>>,
-    /// Configurable exactness limits (satellite of PR 7: the former
-    /// hard-coded constants in `ops.rs` / `relation.rs`).
-    max_negation_pieces: AtomicUsize,
-    subsume_negation_pieces: AtomicUsize,
-    stride_fuel: AtomicU32,
-    /// Governor counters ([`GovernorStats`]).
-    charged: AtomicU64,
-    degraded: AtomicU64,
-    /// Fast gate + state for fault injection.
-    inject_armed: AtomicBool,
-    inject: Mutex<InjectState>,
     /// Total memo-entry capacity per operation table (divided evenly
     /// across shards). See [`Context::set_cache_capacity`].
     cache_capacity: AtomicUsize,
     shards: [Mutex<Shard>; SHARDS],
-}
-
-/// RAII sample of one set operation: on drop, records the call (count,
-/// duration, input-size histogram) on the attached collector's innermost
-/// open span. Declared *first* in each memoized operation so it drops
-/// *last* — after any shard `MutexGuard` — keeping the collector's lock
-/// disjoint from the shard locks.
-struct OpTrace {
-    obs: Collector,
-    op: &'static str,
-    size: u64,
-    t0: Instant,
-}
-
-impl Drop for OpTrace {
-    fn drop(&mut self) {
-        self.obs.record_op(self.op, self.t0.elapsed(), self.size);
-    }
 }
 
 /// Input size of a per-conjunct operation: its constraint count.
@@ -520,24 +418,6 @@ impl Context {
         Context {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(true),
-                traced: AtomicBool::new(false),
-                obs: Mutex::new(None),
-                governed: AtomicBool::new(false),
-                tripped: AtomicBool::new(false),
-                trip_code: AtomicU8::new(0),
-                fuel: AtomicU64::new(u64::MAX),
-                deadline_us: AtomicU64::new(u64::MAX),
-                cancel_armed: AtomicBool::new(false),
-                cancel: Mutex::new(None),
-                max_negation_pieces: AtomicUsize::new(Budget::default().max_negation_pieces),
-                subsume_negation_pieces: AtomicUsize::new(
-                    Budget::default().subsume_negation_pieces,
-                ),
-                stride_fuel: AtomicU32::new(Budget::default().stride_fuel),
-                charged: AtomicU64::new(0),
-                degraded: AtomicU64::new(0),
-                inject_armed: AtomicBool::new(false),
-                inject: Mutex::new(InjectState::default()),
                 cache_capacity: AtomicUsize::new(capacity),
                 shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             }),
@@ -563,18 +443,6 @@ impl Context {
     /// The per-shard entry bound derived from the table capacity.
     fn shard_cap(&self) -> usize {
         (self.inner.cache_capacity.load(Ordering::Relaxed) / SHARDS).max(1)
-    }
-
-    /// True when the thread's armed [`RequestGovernor`] carries
-    /// non-default exactness limits: a result computed under those limits
-    /// is not interchangeable with a default-limit entry (a negation that
-    /// is inexact under a tight piece cap may be exact under the default),
-    /// so both memo lookup and insert are skipped for such requests. The
-    /// context-global `set_budget` path instead flushes the tables when
-    /// its limits change — that stays correct because only one global
-    /// budget exists at a time.
-    fn memo_bypassed(&self) -> bool {
-        current_request_governor().is_some_and(|g| g.non_default_limits())
     }
 
     /// Total memoized entries currently resident, summed over the five
@@ -636,47 +504,6 @@ impl Context {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// True if `self` and `other` share one arena.
-    pub fn same_as(&self, other: &Context) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Attaches (or with `None`, detaches) a trace collector. While
-    /// attached, every memoizable set operation — satisfiability, FME
-    /// projection, negation, gist, simplify; cache hit or miss alike —
-    /// records a count/duration/size sample on the collector's innermost
-    /// open span. Works with memoization disabled too, so `--no-cache`
-    /// ablations still report their set-operation mix. With no collector
-    /// the hook costs one relaxed atomic load per operation.
-    pub fn set_collector(&self, c: Option<Collector>) {
-        let mut obs = self.inner.obs.lock().unwrap();
-        self.inner.traced.store(c.is_some(), Ordering::Release);
-        *obs = c;
-    }
-
-    /// The attached trace collector, if any.
-    pub fn collector(&self) -> Option<Collector> {
-        if !self.inner.traced.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.inner.obs.lock().unwrap().clone()
-    }
-
-    /// Starts an RAII op sample if a collector is attached (the untraced
-    /// fast path is one relaxed load and no allocation).
-    fn op_trace(&self, op: &'static str, size: u64) -> Option<OpTrace> {
-        if !self.inner.traced.load(Ordering::Relaxed) {
-            return None;
-        }
-        let obs = self.inner.obs.lock().unwrap().clone()?;
-        Some(OpTrace {
-            obs,
-            op,
-            size,
-            t0: Instant::now(),
-        })
-    }
-
     /// A snapshot of the cache counters: the per-shard counters merged via
     /// [`CacheStats::merge`]. Shards are locked one at a time, so the
     /// snapshot is per-shard-consistent (exact once the workers are
@@ -687,330 +514,6 @@ impl Context {
             out.merge(&shard.lock().unwrap().stats());
         }
         out
-    }
-
-    /// Resets the hit/miss/eviction counters (the interned arena is kept).
-    pub fn reset_stats(&self) {
-        for shard in &self.inner.shards {
-            shard.lock().unwrap().counts = ShardCounts::default();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Resource governor
-    // ------------------------------------------------------------------
-
-    /// Recomputes the `governed` fast gate from the armed state. Called
-    /// after every arm/disarm mutation.
-    fn update_governed(&self) {
-        let i = &self.inner;
-        let on = i.fuel.load(Ordering::Relaxed) != u64::MAX
-            || i.deadline_us.load(Ordering::Relaxed) != u64::MAX
-            || i.cancel_armed.load(Ordering::Relaxed)
-            || i.inject_armed.load(Ordering::Relaxed)
-            || i.tripped.load(Ordering::Relaxed);
-        i.governed.store(on, Ordering::Release);
-    }
-
-    /// Arms a compile [`Budget`] on this context. The deadline clock
-    /// starts now; op fuel is set to the budget's quota; the exactness
-    /// limits (negation pieces, subsumption pieces, stride fuel) replace
-    /// the previous values. Any earlier trip is cleared.
-    pub fn set_budget(&self, b: &Budget) {
-        let i = &self.inner;
-        i.tripped.store(false, Ordering::Relaxed);
-        i.trip_code.store(0, Ordering::Relaxed);
-        i.fuel
-            .store(b.op_fuel.unwrap_or(u64::MAX), Ordering::Relaxed);
-        let deadline = b.deadline_ms.map_or(u64::MAX, |ms| {
-            let at = anchor().elapsed() + Duration::from_millis(ms);
-            u64::try_from(at.as_micros()).unwrap_or(u64::MAX)
-        });
-        i.deadline_us.store(deadline, Ordering::Relaxed);
-        // Memoized negation/elimination results depend on the exactness
-        // limits (a negation that is inexact under a tight piece cap may
-        // be exact under the default), so changing any limit flushes the
-        // memo tables — otherwise a stale `InexactNegation` could outlive
-        // the budget that caused it.
-        let limits_changed = i
-            .max_negation_pieces
-            .swap(b.max_negation_pieces, Ordering::Relaxed)
-            != b.max_negation_pieces
-            || i.subsume_negation_pieces
-                .swap(b.subsume_negation_pieces, Ordering::Relaxed)
-                != b.subsume_negation_pieces
-            || i.stride_fuel.swap(b.stride_fuel, Ordering::Relaxed) != b.stride_fuel;
-        if limits_changed {
-            self.flush_memo_tables();
-        }
-        self.update_governed();
-    }
-
-    /// Drops every memoized result (the interned arena and the counters
-    /// are kept). Used when the exactness limits change.
-    fn flush_memo_tables(&self) {
-        for shard in &self.inner.shards {
-            let mut s = shard.lock().unwrap();
-            s.sat.clear();
-            s.eliminate.clear();
-            s.negate.clear();
-            s.gist.clear();
-            s.simplify.clear();
-        }
-    }
-
-    /// Disarms the budget: unlimited fuel, no deadline, default limits,
-    /// trip state cleared. Cancel token and injection plan are unaffected.
-    pub fn clear_budget(&self) {
-        self.set_budget(&Budget::default());
-    }
-
-    /// Arms (or with `None`, disarms) a cancellation token. Once the token
-    /// is [cancelled](CancelToken::cancel), fallible governed operations
-    /// return [`OmegaError::Cancelled`] and [`Context::check_cancelled`]
-    /// fails at the driver's checkpoints.
-    pub fn set_cancel_token(&self, t: Option<CancelToken>) {
-        let i = &self.inner;
-        let armed = t.is_some();
-        *i.cancel.lock().unwrap() = t;
-        i.cancel_armed.store(armed, Ordering::Release);
-        self.update_governed();
-    }
-
-    /// Arms (or with `None`, disarms) a deterministic fault-injection
-    /// plan. Per-site hit counters are reset on every call.
-    pub fn set_inject(&self, p: Option<InjectPlan>) {
-        let i = &self.inner;
-        let armed = p.is_some();
-        {
-            let mut st = i.inject.lock().unwrap();
-            st.plan = p;
-            st.counts.clear();
-            st.fired = 0;
-        }
-        i.inject_armed.store(armed, Ordering::Release);
-        self.update_governed();
-    }
-
-    /// True once the budget has tripped (deadline passed, fuel spent, or
-    /// an injected exhaustion). Sticky until the next [`Context::set_budget`].
-    ///
-    /// Reports the *merged* view: the context-global governor or, when a
-    /// [`RequestGovernor`] is armed on the calling thread, that request's
-    /// governor — so degradation sites keep working unchanged under
-    /// per-request governance.
-    pub fn budget_tripped(&self) -> bool {
-        if current_request_governor().is_some_and(|g| g.tripped()) {
-            return true;
-        }
-        self.inner.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Governor counters: ops charged, ops answered conservatively after a
-    /// trip, and the trip reason if any.
-    ///
-    /// Like [`budget_tripped`](Self::budget_tripped) this merges the
-    /// context-global counters with the thread's armed [`RequestGovernor`]
-    /// (scoped counters are summed in; a scoped trip reason wins).
-    pub fn governor_stats(&self) -> GovernorStats {
-        let global = GovernorStats {
-            ops_charged: self.inner.charged.load(Ordering::Relaxed),
-            ops_degraded: self.inner.degraded.load(Ordering::Relaxed),
-            tripped: trip_reason(self.inner.trip_code.load(Ordering::Relaxed)),
-        };
-        match current_request_governor() {
-            Some(gov) => {
-                let scoped = gov.stats();
-                GovernorStats {
-                    ops_charged: global.ops_charged + scoped.ops_charged,
-                    ops_degraded: global.ops_degraded + scoped.ops_degraded,
-                    tripped: scoped.tripped.or(global.tripped),
-                }
-            }
-            None => global,
-        }
-    }
-
-    /// How many times the armed injection plan has fired.
-    pub fn inject_fired(&self) -> u64 {
-        if !self.inner.inject_armed.load(Ordering::Relaxed) {
-            return 0;
-        }
-        self.inner.inject.lock().unwrap().fired
-    }
-
-    /// Current exact-negation piece cap (see [`Budget::max_negation_pieces`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn max_negation_pieces(&self) -> usize {
-        match current_request_governor() {
-            Some(gov) => gov.max_negation_pieces(),
-            None => self.inner.max_negation_pieces.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current subsumption piece cap (see [`Budget::subsume_negation_pieces`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn subsume_negation_pieces(&self) -> usize {
-        match current_request_governor() {
-            Some(gov) => gov.subsume_negation_pieces(),
-            None => self.inner.subsume_negation_pieces.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current stride-form rewrite fuel (see [`Budget::stride_fuel`]).
-    /// A thread-armed [`RequestGovernor`] overrides the context-global value.
-    pub fn stride_fuel(&self) -> u32 {
-        match current_request_governor() {
-            Some(gov) => gov.stride_fuel(),
-            None => self.inner.stride_fuel.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Explicit cancellation checkpoint: `Err(Cancelled)` once the armed
-    /// token has tripped. The driver calls this between phases and at nest
-    /// entry so cancellation is prompt even when the set operations in
-    /// flight are the infallible ones (sat/gist/simplify) that cannot
-    /// propagate an error.
-    pub fn check_cancelled(&self) -> Result<(), OmegaError> {
-        if current_request_governor()
-            .is_some_and(|g| g.cancel_token().is_some_and(CancelToken::is_cancelled))
-        {
-            return Err(OmegaError::Cancelled);
-        }
-        if !self.inner.cancel_armed.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let cancelled = self
-            .inner
-            .cancel
-            .lock()
-            .unwrap()
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled);
-        if cancelled {
-            Err(OmegaError::Cancelled)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Trips the budget with the given reason code (sticky).
-    fn trip(&self, code: u8) {
-        let i = &self.inner;
-        // First tripper wins the reason; later trips keep it.
-        let _ = i
-            .trip_code
-            .compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
-        i.tripped.store(true, Ordering::Relaxed);
-        i.governed.store(true, Ordering::Release);
-    }
-
-    /// Charges one governed operation against the budget. `Ok(())` means
-    /// proceed; `Err` means the op must not run: the fallible memoized
-    /// operations propagate the error (uncached — budget errors must never
-    /// be memoized), the infallible ones substitute a sound conservative
-    /// answer. The ungoverned fast path is a single relaxed load.
-    pub(crate) fn charge(&self, op: &'static str) -> Result<(), OmegaError> {
-        if !self.inner.governed.load(Ordering::Relaxed) && !request_governor_armed() {
-            return Ok(());
-        }
-        self.charge_slow(op)
-    }
-
-    #[cold]
-    fn charge_slow(&self, op: &'static str) -> Result<(), OmegaError> {
-        // A thread-armed request governor takes over budget enforcement;
-        // context-global fault injection (and a global trip it causes)
-        // still applies so chaos plans compose with per-request budgets.
-        if let Some(gov) = current_request_governor() {
-            let grace = in_grace();
-            self.check_cancelled()?;
-            if !grace {
-                if self.inner.inject_armed.load(Ordering::Relaxed) {
-                    self.inject_fire(op)?;
-                }
-                if self.inner.tripped.load(Ordering::Relaxed) {
-                    self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-                    let code = self.inner.trip_code.load(Ordering::Relaxed);
-                    return Err(OmegaError::BudgetExceeded(
-                        trip_reason(code).unwrap_or("budget"),
-                    ));
-                }
-            }
-            return gov.charge(grace);
-        }
-        let i = &self.inner;
-        self.check_cancelled()?;
-        if in_grace() {
-            return Ok(());
-        }
-        if i.inject_armed.load(Ordering::Relaxed) {
-            self.inject_fire(op)?;
-        }
-        i.charged.fetch_add(1, Ordering::Relaxed);
-        if !i.tripped.load(Ordering::Relaxed) {
-            // Spend fuel (u64::MAX = unlimited; fetch_update avoids wrap).
-            let fuel = i.fuel.load(Ordering::Relaxed);
-            if fuel != u64::MAX {
-                let spent = i
-                    .fuel
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |f| f.checked_sub(1));
-                if spent.is_err() {
-                    self.trip(TRIP_FUEL);
-                }
-            }
-            let deadline = i.deadline_us.load(Ordering::Relaxed);
-            if deadline != u64::MAX && now_us() > deadline {
-                self.trip(TRIP_DEADLINE);
-            }
-        }
-        if i.tripped.load(Ordering::Relaxed) {
-            i.degraded.fetch_add(1, Ordering::Relaxed);
-            let reason = trip_reason(i.trip_code.load(Ordering::Relaxed)).unwrap_or("budget");
-            return Err(OmegaError::BudgetExceeded(reason));
-        }
-        Ok(())
-    }
-
-    /// Fault-injection checkpoint for a named site. Suspended inside a
-    /// [`governor_grace`] scope so the degraded rebuild that follows an
-    /// injected fault cannot be re-injected into an escalation loop.
-    /// The memoized Omega
-    /// operations pass through here via [`Context::charge`]; the host
-    /// compiler calls it directly at its own sites (`"comm_sets"`,
-    /// `"nest"`). No locks are held when an injected panic unwinds.
-    pub fn inject_check(&self, site: &'static str) -> Result<(), OmegaError> {
-        if !self.inner.inject_armed.load(Ordering::Relaxed) || in_grace() {
-            return Ok(());
-        }
-        self.inject_fire(site)
-    }
-
-    fn inject_fire(&self, site: &'static str) -> Result<(), OmegaError> {
-        let action = {
-            let mut st = self.inner.inject.lock().unwrap();
-            let Some(plan) = st.plan.clone() else {
-                return Ok(());
-            };
-            let count = st.counts.entry(site).or_insert(0);
-            let n = *count;
-            *count += 1;
-            if !plan.should_fire(site, n) {
-                return Ok(());
-            }
-            st.fired += 1;
-            plan.action
-            // Guard drops here: injected panics never poison the state.
-        };
-        match action {
-            FaultAction::Error => Err(OmegaError::InexactNegation),
-            FaultAction::Panic => panic!("injected panic at site {site}"),
-            FaultAction::ExhaustBudget => {
-                self.trip(TRIP_INJECTED);
-                self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-                Err(OmegaError::BudgetExceeded("injected"))
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1149,9 +652,8 @@ impl Context {
         c: &Conjunct,
         compute: impl FnOnce() -> bool,
     ) -> Result<bool, OmegaError> {
-        let _t = self.op_trace("satisfiability", conjunct_size(c));
-        self.charge("sat")?;
-        if !self.is_enabled() || self.memo_bypassed() {
+        let (_t, memo) = admit_op("sat", "satisfiability", || conjunct_size(c));
+        if !memo? || !self.is_enabled() {
             return Ok(compute());
         }
         let (s, id) = {
@@ -1189,12 +691,11 @@ impl Context {
         v: Var,
         compute: impl FnOnce() -> Result<Vec<Conjunct>, OmegaError>,
     ) -> Result<Vec<Conjunct>, OmegaError> {
-        let _t = self.op_trace("fme projection", conjunct_size(c));
         // Budget/cancel errors propagate *uncached*: memoizing one would
         // poison a long-lived context past the end of the budgeted
         // compilation.
-        self.charge("eliminate")?;
-        if !self.is_enabled() || self.memo_bypassed() {
+        let (_t, memo) = admit_op("eliminate", "fme projection", || conjunct_size(c));
+        if !memo? || !self.is_enabled() {
             return compute();
         }
         let (s, id) = {
@@ -1230,9 +731,8 @@ impl Context {
         c: &Conjunct,
         compute: impl FnOnce() -> Result<Vec<Conjunct>, OmegaError>,
     ) -> Result<Vec<Conjunct>, OmegaError> {
-        let _t = self.op_trace("negation", conjunct_size(c));
-        self.charge("negate")?;
-        if !self.is_enabled() || self.memo_bypassed() {
+        let (_t, memo) = admit_op("negate", "negation", || conjunct_size(c));
+        if !memo? || !self.is_enabled() {
             return compute();
         }
         let (s, id) = {
@@ -1269,13 +769,13 @@ impl Context {
         given: &Conjunct,
         compute: impl FnOnce() -> Conjunct,
     ) -> Conjunct {
-        let _t = self.op_trace("gist", conjunct_size(c) + conjunct_size(given));
+        let (_t, memo) = admit_op("gist", "gist", || conjunct_size(c) + conjunct_size(given));
         // Gist is a pure simplification: returning the input unchanged is
         // always sound, so a tripped budget degrades to the identity.
-        if self.charge("gist").is_err() {
+        let Ok(memo) = memo else {
             return c.clone();
-        }
-        if !self.is_enabled() || self.memo_bypassed() {
+        };
+        if !memo || !self.is_enabled() {
             return compute();
         }
         // The two operands may live in different shards: intern each under
@@ -1308,12 +808,14 @@ impl Context {
         conjuncts: &[Conjunct],
         compute: impl FnOnce() -> Vec<Conjunct>,
     ) -> Vec<Conjunct> {
-        let _t = self.op_trace("simplify", conjuncts.iter().map(conjunct_size).sum());
+        let (_t, memo) = admit_op("simplify", "simplify", || {
+            conjuncts.iter().map(conjunct_size).sum()
+        });
         // Like gist: identity is sound, so degrade to the input list.
-        if self.charge("simplify").is_err() {
+        let Ok(memo) = memo else {
             return conjuncts.to_vec();
-        }
-        if !self.is_enabled() || self.memo_bypassed() {
+        };
+        if !memo || !self.is_enabled() {
             return compute();
         }
         let (ss, key) = {
@@ -1349,8 +851,38 @@ pub(crate) fn join(a: Option<&Context>, b: Option<&Context>) -> Option<Context> 
 
 #[cfg(test)]
 mod tests {
+    //! The governance tests drive a shared `Context` under a thread-armed
+    //! [`RequestGovernor`], the only place budget, cancellation, fault
+    //! injection and tracing live.
     use super::*;
+    use crate::budget::exactness_limit;
+    use crate::inject::{FaultAction, InjectPlan};
     use crate::linexpr::LinExpr;
+    use crate::{check_cancelled, governor_grace, Budget, CancelToken, GovernorStats};
+    use crate::{RequestGovernor, RequestGovernorGuard};
+    use dhpf_obs::Collector;
+    use std::time::Duration;
+
+    /// A governor for `budget` (no cancel token), armed on this thread.
+    fn arm(budget: &Budget) -> (RequestGovernor, RequestGovernorGuard) {
+        let gov = RequestGovernor::new(budget, None);
+        let guard = gov.arm_on_thread();
+        (gov, guard)
+    }
+
+    /// An unlimited governor carrying only `plan`, armed on this thread.
+    fn arm_plan(plan: InjectPlan) -> (RequestGovernor, RequestGovernorGuard) {
+        let gov = RequestGovernor::new(&Budget::default(), None).with_inject(Some(plan));
+        let guard = gov.arm_on_thread();
+        (gov, guard)
+    }
+
+    /// An unlimited governor carrying only a trace collector.
+    fn arm_trace(obs: &Collector) -> RequestGovernorGuard {
+        RequestGovernor::new(&Budget::default(), None)
+            .with_collector(Some(obs.clone()))
+            .arm_on_thread()
+    }
 
     #[test]
     fn interning_is_stable() {
@@ -1440,7 +972,7 @@ mod tests {
     fn collector_records_set_ops_on_open_span() {
         let obs = Collector::new();
         let ctx = Context::new();
-        ctx.set_collector(Some(obs.clone()));
+        let traced = arm_trace(&obs);
         let span = obs.begin("analysis", "phase");
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty());
@@ -1452,8 +984,8 @@ mod tests {
         assert!(sat.calls >= 2);
         assert!(sat.sizes.count() == sat.calls);
 
-        // Detaching stops recording.
-        ctx.set_collector(None);
+        // Disarming the governor stops recording.
+        drop(traced);
         let before = obs.len();
         let _ = s.is_empty();
         assert_eq!(obs.len(), before);
@@ -1463,7 +995,7 @@ mod tests {
     fn disabled_cache_still_records_set_ops() {
         let obs = Collector::new();
         let ctx = Context::disabled();
-        ctx.set_collector(Some(obs.clone()));
+        let _traced = arm_trace(&obs);
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty());
         let ops = obs.trace().total_ops();
@@ -1480,45 +1012,49 @@ mod tests {
 
     #[test]
     fn ungoverned_context_charges_nothing() {
+        // A governor with no budget, token or plan (what a traced-only
+        // request arms) charges nothing either.
         let ctx = Context::new();
+        let (gov, _armed) = arm(&Budget::default());
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty());
-        assert_eq!(ctx.governor_stats(), GovernorStats::default());
+        assert_eq!(gov.stats(), GovernorStats::default());
     }
 
     #[test]
     fn op_fuel_trips_and_degrades_soundly() {
         let ctx = Context::new();
-        ctx.set_budget(&Budget::new().op_fuel(1));
+        let (gov, armed) = arm(&Budget::new().op_fuel(1));
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         // Burn far more than one op; everything must still terminate and
         // the conservative answers must be sound (non-empty says non-empty).
         assert!(!s.is_empty());
         assert!(!s.intersection(&t).is_empty());
-        assert!(ctx.budget_tripped());
-        let g = ctx.governor_stats();
+        assert!(gov.tripped());
+        let g = gov.stats();
         assert_eq!(g.tripped, Some("op fuel"));
         assert!(g.ops_degraded > 0);
         // Fallible ops now surface the typed error.
         let err = s.try_subtract(&t).unwrap_err();
         assert!(matches!(err, OmegaError::BudgetExceeded("op fuel")));
-        // Re-arming clears the trip.
-        ctx.clear_budget();
-        assert!(!ctx.budget_tripped());
+        // A fresh governor is untripped.
+        drop(armed);
+        let (fresh, _armed) = arm(&Budget::default());
+        assert!(!fresh.tripped());
         assert!(s.try_subtract(&t).is_ok());
     }
 
     #[test]
     fn expired_deadline_trips() {
         let ctx = Context::new();
-        ctx.set_budget(&Budget::new().deadline_ms(0));
+        let (gov, _armed) = arm(&Budget::new().deadline_ms(0));
         std::thread::sleep(Duration::from_millis(2));
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         assert!(!s.is_empty()); // degraded-but-sound
         assert!(!s.is_empty());
-        assert!(ctx.budget_tripped());
-        assert_eq!(ctx.governor_stats().tripped, Some("deadline"));
+        assert!(gov.tripped());
+        assert_eq!(gov.stats().tripped, Some("deadline"));
     }
 
     #[test]
@@ -1526,9 +1062,9 @@ mod tests {
         let ctx = Context::new();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        ctx.set_budget(&Budget::new().op_fuel(0));
+        let armed = arm(&Budget::new().op_fuel(0));
         assert!(s.try_subtract(&t).is_err());
-        ctx.clear_budget();
+        drop(armed);
         // The same structural query must now succeed from a clean slate.
         let d = s.try_subtract(&t).unwrap();
         assert!(d.contains(&[2], &[]));
@@ -1540,21 +1076,22 @@ mod tests {
         let ctx = Context::new();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
-        ctx.set_budget(&Budget::new().op_fuel(0));
+        let (gov, _armed) = arm(&Budget::new().op_fuel(0));
         assert!(s.try_subtract(&t).is_err());
-        assert!(ctx.budget_tripped());
+        assert!(gov.tripped());
         {
             let _grace = governor_grace();
             // Inside the grace scope the tripped budget no longer blocks
             // the set algebra the degraded rebuild needs...
             let d = s.try_subtract(&t).unwrap();
             assert!(d.contains(&[2], &[]));
-            // ...but cancellation still aborts.
+            // ...but cancellation still aborts (a nested governor with a
+            // token; the outer one is restored when it drops).
             let token = CancelToken::new();
-            ctx.set_cancel_token(Some(token.clone()));
+            let cancellable = RequestGovernor::new(&Budget::new().op_fuel(0), Some(token.clone()));
+            let _nested = cancellable.arm_on_thread();
             token.cancel();
             assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
-            ctx.set_cancel_token(None);
         }
         // Enforcement resumes once the guard drops.
         assert!(matches!(
@@ -1567,46 +1104,45 @@ mod tests {
     fn cancel_token_aborts_fallible_ops() {
         let ctx = Context::new();
         let token = CancelToken::new();
-        ctx.set_cancel_token(Some(token.clone()));
+        let armed = RequestGovernor::new(&Budget::default(), Some(token.clone())).arm_on_thread();
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         assert!(s.try_subtract(&t).is_ok());
-        assert!(ctx.check_cancelled().is_ok());
+        assert!(check_cancelled().is_ok());
         token.cancel();
-        assert_eq!(ctx.check_cancelled(), Err(OmegaError::Cancelled));
+        assert_eq!(check_cancelled(), Err(OmegaError::Cancelled));
         assert!(matches!(s.try_subtract(&t), Err(OmegaError::Cancelled)));
-        ctx.set_cancel_token(None);
+        drop(armed);
         assert!(s.try_subtract(&t).is_ok());
     }
 
     #[test]
     fn configurable_limits_reach_the_ops() {
         let ctx = Context::new();
-        assert_eq!(ctx.max_negation_pieces(), 10_000);
-        assert_eq!(ctx.subsume_negation_pieces(), 64);
-        assert_eq!(ctx.stride_fuel(), 500);
+        assert_eq!(exactness_limit(|b| b.max_negation_pieces), 10_000);
+        assert_eq!(exactness_limit(|b| b.subsume_negation_pieces), 64);
+        assert_eq!(exactness_limit(|b| b.stride_fuel), 500);
         // A piece cap of zero makes any non-trivial negation inexact.
-        ctx.set_budget(&Budget::new().max_negation_pieces(0));
+        let armed = arm(&Budget::new().max_negation_pieces(0));
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 5}").unwrap();
         assert!(matches!(
             s.try_subtract(&t),
             Err(OmegaError::InexactNegation)
         ));
-        ctx.clear_budget();
+        drop(armed);
         assert!(s.try_subtract(&t).is_ok());
     }
 
     #[test]
     fn injected_errors_fire_deterministically() {
-        use crate::inject::{FaultAction, InjectPlan};
         let run = |seed: u64| -> (bool, u64) {
             let ctx = Context::new();
-            ctx.set_inject(Some(InjectPlan::new(seed, 3, FaultAction::Error)));
+            let (gov, _armed) = arm_plan(InjectPlan::new(seed, 3, FaultAction::Error));
             let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
             let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
             let r = s.try_subtract(&t).is_ok();
-            (r, ctx.inject_fired())
+            (r, gov.injected_faults())
         };
         let (a_ok, a_fired) = run(42);
         let (b_ok, b_fired) = run(42);
@@ -1616,32 +1152,27 @@ mod tests {
 
     #[test]
     fn injected_budget_exhaustion_trips_governor() {
-        use crate::inject::{FaultAction, InjectPlan};
         let ctx = Context::new();
-        ctx.set_inject(Some(
-            InjectPlan::new(7, 1, FaultAction::ExhaustBudget).at_site("eliminate"),
-        ));
+        let (gov, _armed) =
+            arm_plan(InjectPlan::new(7, 1, FaultAction::ExhaustBudget).at_site("eliminate"));
         let s = ctx
             .parse_set("{[i] : exists(a : i = 2a) && 0 <= i <= 10}")
             .unwrap();
         let t = ctx.parse_set("{[i] : 3 <= i <= 30}").unwrap();
         let _ = s.try_subtract(&t);
-        assert!(ctx.budget_tripped());
-        assert_eq!(ctx.governor_stats().tripped, Some("injected"));
+        assert!(gov.tripped());
+        assert_eq!(gov.stats().tripped, Some("injected"));
     }
 
     #[test]
     fn injected_panics_unwind_cleanly() {
-        use crate::inject::{FaultAction, InjectPlan};
         let ctx = Context::new();
-        ctx.set_inject(Some(
-            InjectPlan::new(9, 1, FaultAction::Panic).at_site("sat"),
-        ));
+        let armed = arm_plan(InjectPlan::new(9, 1, FaultAction::Panic).at_site("sat"));
         let s = ctx.parse_set("{[i] : 1 <= i <= 10}").unwrap();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.is_empty()));
         assert!(r.is_err(), "period-1 sat panic plan must fire");
         // The context is not poisoned: disarm and keep using it.
-        ctx.set_inject(None);
+        drop(armed);
         assert!(!s.is_empty());
         assert!(ctx.stats().total_misses() > 0);
     }

@@ -1,17 +1,23 @@
 //! Deterministic, seeded fault injection for chaos testing.
 //!
-//! An [`InjectPlan`] armed on a [`Context`](crate::Context) via
-//! [`Context::set_inject`](crate::Context::set_inject) fires a configured
+//! An [`InjectPlan`] carried by a
+//! [`RequestGovernor`](crate::RequestGovernor) (see
+//! [`with_inject`](crate::RequestGovernor::with_inject)) fires a configured
 //! [`FaultAction`] at named sites: the five memoized Omega operations
 //! (`"sat"`, `"eliminate"`, `"negate"`, `"gist"`, `"simplify"`) plus any
 //! site the host compiler registers through
-//! [`Context::inject_check`](crate::Context::inject_check) (the dHPF
-//! driver registers `"comm_sets"` and `"nest"`).
+//! [`inject_check`](crate::inject_check) (the dHPF driver registers
+//! `"comm_sets"` and `"nest"`). Only threads running under that governor
+//! see the plan: concurrent requests on one shared context are untouched.
 //!
 //! Decisions are a pure function of `(seed, site, per-site hit count)`, so
 //! a run is reproducible from its seed regardless of thread interleaving:
 //! the k-th arrival at a given site always gets the same verdict, even
 //! when a different worker thread gets there first.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What to do when an injection point fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +64,7 @@ impl InjectPlan {
     }
 
     /// Pure decision function: should the `count`-th arrival at `site`
-    /// fire? (`count` is 0-based and tracked per site by the context.)
+    /// fire? (`count` is 0-based and tracked per site by the governor.)
     pub fn should_fire(&self, site: &str, count: u64) -> bool {
         if let Some(only) = self.site {
             if only != site {
@@ -66,6 +72,50 @@ impl InjectPlan {
             }
         }
         mix(self.seed, site, count).is_multiple_of(self.period)
+    }
+}
+
+/// An armed plan plus its bookkeeping: per-site arrival counters (so each
+/// decision is a pure function of `(seed, site, count)`) and the number of
+/// faults fired so far. One lives in each governor that carries a plan.
+pub(crate) struct Injector {
+    plan: InjectPlan,
+    arrivals: Mutex<HashMap<&'static str, u64>>,
+    fired: AtomicU64,
+}
+
+impl Injector {
+    pub(crate) fn new(plan: InjectPlan) -> Self {
+        Injector {
+            plan,
+            arrivals: Mutex::new(HashMap::new()),
+            fired: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts one arrival at `site` and returns the action if it fires.
+    /// The counter lock is released before the caller acts, so an
+    /// injected panic never poisons it.
+    pub(crate) fn arrive(&self, site: &'static str) -> Option<FaultAction> {
+        let n = {
+            let mut arrivals = self
+                .arrivals
+                .lock()
+                .expect("no injected panic fires while the counters are locked");
+            let count = arrivals.entry(site).or_insert(0);
+            *count += 1;
+            *count - 1
+        };
+        if !self.plan.should_fire(site, n) {
+            return None;
+        }
+        self.fired.fetch_add(1, Ordering::Relaxed);
+        Some(self.plan.action)
+    }
+
+    /// How many arrivals have fired.
+    pub(crate) fn fired(&self) -> u64 {
+        self.fired.load(Ordering::Relaxed)
     }
 }
 

@@ -54,10 +54,13 @@ pub mod set;
 pub mod testing;
 pub mod var;
 
-pub use budget::{Budget, CancelToken, GovernorStats, RequestGovernor, RequestGovernorGuard};
+pub use budget::{
+    check_cancelled, governor_grace, inject_check, Budget, CancelToken, GovernorStats, GraceGuard,
+    RequestGovernor, RequestGovernorGuard,
+};
 pub use builder::{RelationBuilder, SetBuilder};
 pub use conjunct::{Conjunct, Normalized};
-pub use context::{governor_grace, CacheStats, Context, GraceGuard, OpCounts, DEFAULT_CACHE_CAP};
+pub use context::{CacheStats, Context, OpCounts, DEFAULT_CACHE_CAP};
 pub use inject::{FaultAction, InjectPlan};
 pub use linexpr::LinExpr;
 #[allow(deprecated)]

@@ -67,12 +67,9 @@ fn negate_uncached(
     // pieces with ~17 negation atoms each yield up to 17^k conjuncts), so
     // the accumulator carries a hard budget; blowing it means the exact
     // complement is too large to represent and the negation is inexact.
-    // The cap is per-context configurable via `Budget::max_negation_pieces`
+    // The cap is per-request configurable via `Budget::max_negation_pieces`
     // (default 10 000, the historical constant).
-    let max_negation_pieces = ctx.map_or_else(
-        || crate::Budget::default().max_negation_pieces,
-        crate::Context::max_negation_pieces,
-    );
+    let max_negation_pieces = crate::budget::exactness_limit(|b| b.max_negation_pieces);
     let mut acc: Vec<Conjunct> = vec![Conjunct::new()];
     for p in &stride_form {
         let negs = negate_stride_conjunct(p);
@@ -125,11 +122,8 @@ pub fn to_stride_form_in(
 ) -> Result<Vec<Conjunct>, OmegaError> {
     let mut done = Vec::new();
     let mut work = vec![c];
-    // Per-context configurable via `Budget::stride_fuel` (default 500).
-    let mut fuel = ctx.map_or_else(
-        || crate::Budget::default().stride_fuel,
-        crate::Context::stride_fuel,
-    );
+    // Per-request configurable via `Budget::stride_fuel` (default 500).
+    let mut fuel = crate::budget::exactness_limit(|b| b.stride_fuel);
     while let Some(mut c) = work.pop() {
         if fuel == 0 {
             return Err(OmegaError::InexactNegation);

@@ -646,12 +646,9 @@ impl Relation {
         // shatters into too many pieces (stride-heavy conjuncts can
         // produce thousands), checking them all costs far more than
         // keeping the extra conjunct. Skip those pairs. The cap is
-        // per-context configurable via
+        // per-request configurable via
         // `Budget::subsume_negation_pieces` (default 64).
-        let max_neg_pieces = cx.map_or_else(
-            || crate::Budget::default().subsume_negation_pieces,
-            crate::Context::subsume_negation_pieces,
-        );
+        let max_neg_pieces = crate::budget::exactness_limit(|b| b.subsume_negation_pieces);
         for i in 0..self.conjuncts.len() {
             if !keep[i] {
                 continue;
