@@ -11,7 +11,8 @@
 //! A legitimate change to code generation must regenerate the goldens and
 //! say why the output moved.
 
-use dhpf_core::{compile, render_program, CompileOptions, SpmdStats};
+use dhpf_core::{compile, compile_with, render_program, CompileOptions, SpmdStats};
+use dhpf_omega::Context;
 
 const JACOBI: &str = include_str!("../../../benchmarks/jacobi.hpf");
 const TOMCATV: &str = include_str!("../../../benchmarks/tomcatv.hpf");
@@ -132,4 +133,30 @@ fn one_thread_matches_goldens() {
 #[test]
 fn two_threads_match_goldens() {
     check(2);
+}
+
+/// Each `Context` keys its interner's hash afresh, so interned ids and
+/// shard placement differ from one context to the next. Nothing
+/// observable may depend on them: two fresh contexts compile the same
+/// program to the same `Debug` form with the same cache counters.
+#[test]
+fn output_and_counters_do_not_depend_on_hash_keys() {
+    for g in goldens()
+        .into_iter()
+        .filter(|g| g.name == "SP-4" || g.name == "SP-sym")
+    {
+        let run = || {
+            let c = compile_with(&Context::new(), &g.src, &CompileOptions::new())
+                .unwrap_or_else(|e| panic!("{}: {e}", g.name));
+            (format!("{:?}", c.program), c.report.cache)
+        };
+        let (code_a, cache_a) = run();
+        let (code_b, cache_b) = run();
+        assert!(
+            code_a == code_b,
+            "{}: output differs between contexts",
+            g.name
+        );
+        assert_eq!(cache_a, cache_b, "{}: cache counters", g.name);
+    }
 }

@@ -15,16 +15,29 @@
 //! sets, iteration spaces) with [`Relation::with_context`]; every derived
 //! relation inherits the context through the set operations.
 //!
+//! # Interning
+//!
+//! Every probe hashes its canonical conjunct exactly once, before taking
+//! any lock, with a keyed hasher ([`RandomState`]) owned by the context:
+//! the keys resist hash flooding by conjuncts derived from untrusted
+//! sources (the `dhpf-serve` daemon interns whatever clients send). The
+//! top bits of that hash pick the shard; inside the shard the conjunct
+//! lives in a dense `Vec` arena, found through an index from the hash to
+//! its arena slot, so growing the index never re-hashes a conjunct. A hit
+//! is confirmed by structural equality, and a genuine 64-bit collision
+//! probes `h + 1, h + 2, …`, so interning stays exact. Ids are
+//! `slot * SHARDS + shard`: unique within one context, but not stable
+//! across contexts or processes, and nothing observable depends on them.
+//!
 //! # Concurrency
 //!
 //! The arena is **lock-striped**: interners and memo tables are split
-//! across [`SHARDS`] shards selected by a deterministic structural hash,
-//! so concurrent clients (the parallel driver's worker threads) contend
-//! only when they touch the same shard. No operation ever holds two shard
-//! locks at once, and no shard lock is held across a `compute` closure,
-//! so the locking is deadlock-free by construction. `Context` is
-//! `Send + Sync` (statically asserted below): one long-lived context can
-//! serve a whole thread pool.
+//! across [`SHARDS`] shards selected by the keyed hash, so concurrent
+//! clients (the parallel driver's worker threads) contend only when they
+//! touch the same shard. No operation ever holds two shard locks at once,
+//! and no shard lock is held across a `compute` closure, so the locking is
+//! deadlock-free by construction. `Context` is `Send + Sync` (statically
+//! asserted below): one long-lived context can serve a whole thread pool.
 //!
 //! ```
 //! use dhpf_omega::Context;
@@ -45,25 +58,27 @@ use crate::relation::Relation;
 use crate::set::Set;
 use crate::var::Var;
 use crate::OmegaError;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default maximum total entries per memo table (summed across shards).
-/// Keeps long compilations bounded; one compilation of the paper's
-/// benchmarks stays under this (SP-sym's FME table peaks at ~150k entries,
-/// so the cap must exceed that or the warm cache is churned
-/// mid-compilation). A serving deployment tunes it with
-/// [`Context::set_cache_capacity`].
+/// Keeps long compilations bounded while one cold compilation of any of
+/// the paper's benchmarks never evicts: the largest, SP-sym, makes about
+/// 55k FME misses and leaves about 65k entries across all five tables. A
+/// serving deployment tunes it with [`Context::set_cache_capacity`].
 pub const DEFAULT_CACHE_CAP: usize = 1 << 19;
 
 /// Number of lock stripes in the arena. A power of two so the shard of an
 /// interned id is `id % SHARDS` (the id encodes its shard in the low bits).
 pub const SHARDS: usize = 16;
+
+/// Bits of the keyed hash that select a shard (its top bits).
+const SHARD_BITS: u32 = SHARDS.trailing_zeros();
 
 /// Entries inspected per eviction round. Sampled eviction (à la Redis)
 /// keeps insertion O(sample) instead of O(table): the victim is the
@@ -77,8 +92,8 @@ const EVICT_SAMPLE: usize = 8;
 /// entry cannot pin itself forever.
 const COST_CREDIT_CAP_US: u32 = 8_192;
 
-/// Interned id of a hash-consed conjunct (or expression). The low
-/// `log2(SHARDS)` bits identify the owning shard.
+/// Interned id of a hash-consed conjunct. The low `log2(SHARDS)` bits
+/// identify the owning shard.
 type Id = u32;
 
 /// Hit/miss/eviction counters for one memoized operation.
@@ -247,8 +262,13 @@ impl<K: Eq + Hash + Clone, V: Clone> MemoTable<K, V> {
 
     /// Inserts a computed result, evicting lowest-scored entries while the
     /// table is at its capacity bound. `cost_us` is the measured compute
-    /// time of the inserted result.
+    /// time of the inserted result. When threads race on one miss, the
+    /// key is already present by the time the second result arrives: that
+    /// insert is dropped in favor of the first and evicts nothing.
     fn insert(&mut self, k: K, v: V, cost_us: u32, cap: usize, counts: &mut OpCounts) {
+        if self.map.contains_key(&k) {
+            return;
+        }
         while self.map.len() >= cap.max(1) {
             let victim = self
                 .map
@@ -296,28 +316,77 @@ struct ShardCounts {
     simplify: OpCounts,
 }
 
-/// One lock stripe of the arena: interner slices plus one memo table per
+/// Index hasher for keys that already are a keyed hash: the shard index
+/// stores a conjunct's hash, so growing it never re-hashes a conjunct.
+/// The key's top bits are the same for every key of one shard (they chose
+/// the shard), but the table takes its probe tags from the top bits; one
+/// multiply by an odd constant, a bijection that adds no collisions,
+/// carries the varying low bits up into them.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PreHashed only hashes u64 keys")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One lock stripe of the arena: an interner slice plus one memo table per
 /// operation. A conjunct's per-conjunct memo entries (sat / eliminate /
 /// negate) live in the same shard as the conjunct itself, so the hot path
 /// interns and probes under a single lock acquisition.
 #[derive(Default)]
 struct Shard {
-    /// Hash-consed conjuncts owned by this shard: structural value → id.
-    /// The id is the key of every per-conjunct memo table, so a conjunct
-    /// is hashed in full at most once per distinct structure.
-    conjuncts: HashMap<Conjunct, Id>,
+    /// Hash-consed conjuncts owned by this shard, densely: the conjunct at
+    /// slot `i` has id `i * SHARDS + shard`. The id is the key of every
+    /// per-conjunct memo table.
+    conjuncts: Vec<Conjunct>,
+    /// Keyed hash → slot in `conjuncts`. A colliding hash moves on to
+    /// `h + 1`, `h + 2`, …; nothing is ever removed, so a probe chain
+    /// never has a gap.
+    index: HashMap<u64, u32, BuildHasherDefault<PreHashed>>,
     sat: MemoTable<Id, bool>,
     eliminate: MemoTable<(Id, Var), Result<Vec<Conjunct>, OmegaError>>,
     negate: MemoTable<Id, Result<Vec<Conjunct>, OmegaError>>,
     /// Keyed `(a, b)`; stored in the shard of `a`.
     gist: MemoTable<(Id, Id), Conjunct>,
     /// Keyed by the interned conjunct list; stored in the shard selected
-    /// by the hash of that id list.
+    /// by the keyed hash of that id list.
     simplify: MemoTable<Vec<Id>, Vec<Conjunct>>,
     counts: ShardCounts,
 }
 
 impl Shard {
+    /// Interns the canonical conjunct `cc`, whose keyed hash is `h`, into
+    /// this shard (number `shard`), returning its id.
+    fn intern(&mut self, cc: &Conjunct, mut h: u64, shard: usize) -> Id {
+        loop {
+            match self.index.entry(h) {
+                Entry::Occupied(e) => {
+                    let slot = *e.get();
+                    if self.conjuncts[slot as usize] == *cc {
+                        return slot * SHARDS as Id + shard as Id;
+                    }
+                    h = h.wrapping_add(1);
+                }
+                Entry::Vacant(e) => {
+                    let slot = self.conjuncts.len() as Id;
+                    e.insert(slot);
+                    self.conjuncts.push(cc.clone());
+                    return slot * SHARDS as Id + shard as Id;
+                }
+            }
+        }
+    }
+
     fn stats(&self) -> CacheStats {
         CacheStats {
             sat: self.counts.sat,
@@ -330,6 +399,9 @@ impl Shard {
     }
 }
 
+/// Selects one operation's memo table, and its counters, in a shard.
+type TableOf<K, V> = fn(&mut Shard) -> (&mut MemoTable<K, V>, &mut OpCounts);
+
 /// Everything a context shares: the enabled flag, the memo capacity and
 /// the sharded interner and memo tables. Per-request state — budget,
 /// cancellation, fault injection, tracing — lives on the calling thread's
@@ -339,6 +411,8 @@ struct Inner {
     /// Total memo-entry capacity per operation table (divided evenly
     /// across shards). See [`Context::set_cache_capacity`].
     cache_capacity: AtomicUsize,
+    /// Keys of the one hash every probe computes (see the module docs).
+    hasher: RandomState,
     shards: [Mutex<Shard>; SHARDS],
 }
 
@@ -353,14 +427,28 @@ fn elapsed_us(t0: Instant) -> u32 {
     u32::try_from(t0.elapsed().as_micros()).unwrap_or(u32::MAX)
 }
 
-/// Deterministic shard index for a hashable key. `DefaultHasher::new()`
-/// uses fixed keys, so the mapping is stable across runs and threads —
-/// interned ids (and therefore eviction behaviour) never depend on
-/// scheduling.
-fn shard_of<K: Hash>(k: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    k.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
+/// Locks one shard. Nothing that runs under a shard lock calls back into
+/// caller code, so a poisoned lock means a bug in this module.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard
+        .lock()
+        .expect("a shard lock is poisoned: the interner or a memo table panicked")
+}
+
+/// The shard a keyed hash selects: its top bits.
+fn shard_of_hash(h: u64) -> usize {
+    (h >> (u64::BITS - SHARD_BITS)) as usize
+}
+
+/// Runs `f` on the canonical form of `c`, borrowing `c` itself when it is
+/// already normalized (the common case on probe paths: producers normalize
+/// once at construction); only un-normalized probes pay for a copy.
+fn with_canonical<R>(c: &Conjunct, f: impl FnOnce(&Conjunct) -> R) -> R {
+    if c.is_normalized() {
+        f(c)
+    } else {
+        f(&c.canonical())
+    }
 }
 
 /// The shard that owns an interned id (the id's low bits).
@@ -419,6 +507,7 @@ impl Context {
             inner: Arc::new(Inner {
                 enabled: AtomicBool::new(true),
                 cache_capacity: AtomicUsize::new(capacity),
+                hasher: RandomState::new(),
                 shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
             }),
         }
@@ -451,7 +540,7 @@ impl Context {
     pub fn memo_entries(&self) -> u64 {
         let mut n = 0u64;
         for shard in &self.inner.shards {
-            let s = shard.lock().unwrap();
+            let s = lock(shard);
             n += (s.sat.len()
                 + s.eliminate.len()
                 + s.negate.len()
@@ -475,7 +564,7 @@ impl Context {
             ("simplify", 0),
         ];
         for shard in &self.inner.shards {
-            let s = shard.lock().unwrap();
+            let s = lock(shard);
             out[0].1 += s.sat.len() as u64;
             out[1].1 += s.eliminate.len() as u64;
             out[2].1 += s.negate.len() as u64;
@@ -511,7 +600,7 @@ impl Context {
     pub fn stats(&self) -> CacheStats {
         let mut out = CacheStats::default();
         for shard in &self.inner.shards {
-            out.merge(&shard.lock().unwrap().stats());
+            out.merge(&lock(shard).stats());
         }
         out
     }
@@ -589,37 +678,17 @@ impl Context {
     /// the same [`Conjunct::canonical`] form — same constraints up to
     /// order, repetition, scaling, and slack constants — share one id.
     pub fn intern_conjunct(&self, c: &Conjunct) -> u32 {
-        self.intern_conjunct_key(c)
+        with_canonical(c, |cc| {
+            let (h, s) = self.place(cc);
+            lock(&self.inner.shards[s]).intern(cc, h, s)
+        })
     }
 
-    /// Interns the canonical form of `c`, borrowing `c` directly when it
-    /// is already normalized (the common case on probe paths: producers
-    /// normalize once at construction) instead of cloning per probe.
-    fn intern_conjunct_key(&self, c: &Conjunct) -> Id {
-        if c.is_normalized() {
-            self.intern_canonical(c)
-        } else {
-            self.intern_canonical(&c.canonical())
-        }
-    }
-
-    /// Interns an already-canonical conjunct (locks exactly one shard).
-    fn intern_canonical(&self, cc: &Conjunct) -> Id {
-        let s = shard_of(cc);
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        Self::intern_in(&mut shard.conjuncts, cc, s)
-    }
-
-    /// Interns `k` into one shard's slice of an interner. The id encodes
-    /// the shard in its low bits (`id = local * SHARDS + shard`), so ids
-    /// are globally unique and `id % SHARDS` recovers the owner.
-    fn intern_in<K: Clone + Eq + Hash>(map: &mut HashMap<K, Id>, k: &K, shard: usize) -> Id {
-        if let Some(&id) = map.get(k) {
-            return id;
-        }
-        let id = (map.len() * SHARDS + shard) as Id;
-        map.insert(k.clone(), id);
-        id
+    /// The keyed hash of a canonical conjunct and the shard it selects:
+    /// the only hash a probe computes, and computed before any lock.
+    fn place(&self, cc: &Conjunct) -> (u64, usize) {
+        let h = self.inner.hasher.hash_one(cc);
+        (h, shard_of_hash(h))
     }
 
     // ------------------------------------------------------------------
@@ -632,6 +701,50 @@ impl Context {
     // into the cache), then re-lock that shard to insert. Single-threaded
     // compilations never duplicate work; concurrent ones at worst compute
     // an entry twice.
+
+    /// Probes `table` in shard `s` for the key that `key` builds under the
+    /// shard lock; on a miss, runs `compute` unlocked and inserts its
+    /// result with its measured cost.
+    fn memoized<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        s: usize,
+        key: impl FnOnce(&mut Shard) -> K,
+        table: TableOf<K, V>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let key = {
+            let mut shard = lock(&self.inner.shards[s]);
+            let key = key(&mut shard);
+            let (t, counts) = table(&mut shard);
+            if let Some(v) = t.get(&key, counts) {
+                return v;
+            }
+            key
+        };
+        let t0 = Instant::now();
+        let v = compute();
+        let cost_us = elapsed_us(t0);
+        let cap = self.shard_cap();
+        let mut shard = lock(&self.inner.shards[s]);
+        let (t, counts) = table(&mut shard);
+        t.insert(key, v.clone(), cost_us, cap, counts);
+        v
+    }
+
+    /// [`memoized`](Self::memoized) for a per-conjunct operation: `c` is
+    /// interned and its entry probed in `c`'s shard under one lock.
+    fn memoized_on<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        c: &Conjunct,
+        key: impl FnOnce(Id) -> K,
+        table: TableOf<K, V>,
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        with_canonical(c, |cc| {
+            let (h, s) = self.place(cc);
+            self.memoized(s, |sh| key(sh.intern(cc, h, s)), table, compute)
+        })
+    }
 
     /// `cached_sat` for *analysis* callers, where "satisfiable" is the
     /// sound conservative answer: once the budget trips, the degraded
@@ -656,33 +769,7 @@ impl Context {
         if !memo? || !self.is_enabled() {
             return Ok(compute());
         }
-        let (s, id) = {
-            // Borrow `c` as its own canonical key when already
-            // normalized; only un-normalized probes pay for a copy.
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(v) = sh.sat.get(&id, &mut sh.counts.sat) {
-                return Ok(v);
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let v = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.sat.insert(id, v, cost_us, cap, &mut sh.counts.sat);
-        Ok(v)
+        Ok(self.memoized_on(c, |id| id, |sh| (&mut sh.sat, &mut sh.counts.sat), compute))
     }
 
     pub(crate) fn cached_eliminate(
@@ -698,32 +785,12 @@ impl Context {
         if !memo? || !self.is_enabled() {
             return compute();
         }
-        let (s, id) = {
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(r) = sh.eliminate.get(&(id, v), &mut sh.counts.eliminate) {
-                return r;
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.eliminate
-            .insert((id, v), r.clone(), cost_us, cap, &mut sh.counts.eliminate);
-        r
+        self.memoized_on(
+            c,
+            |id| (id, v),
+            |sh| (&mut sh.eliminate, &mut sh.counts.eliminate),
+            compute,
+        )
     }
 
     pub(crate) fn cached_negate(
@@ -735,32 +802,12 @@ impl Context {
         if !memo? || !self.is_enabled() {
             return compute();
         }
-        let (s, id) = {
-            let tmp;
-            let cc: &Conjunct = if c.is_normalized() {
-                c
-            } else {
-                tmp = c.canonical();
-                &tmp
-            };
-            let s = shard_of(cc);
-            let mut shard = self.inner.shards[s].lock().unwrap();
-            let sh = &mut *shard;
-            let id = Self::intern_in(&mut sh.conjuncts, cc, s);
-            if let Some(r) = sh.negate.get(&id, &mut sh.counts.negate) {
-                return r;
-            }
-            (s, id)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[s].lock().unwrap();
-        let sh = &mut *shard;
-        sh.negate
-            .insert(id, r.clone(), cost_us, cap, &mut sh.counts.negate);
-        r
+        self.memoized_on(
+            c,
+            |id| id,
+            |sh| (&mut sh.negate, &mut sh.counts.negate),
+            compute,
+        )
     }
 
     pub(crate) fn cached_gist(
@@ -781,26 +828,14 @@ impl Context {
         // The two operands may live in different shards: intern each under
         // its own lock (sequentially — never nested), then probe the memo
         // table in the shard of `a`.
-        let (gs, key) = {
-            let a = self.intern_conjunct_key(c);
-            let b = self.intern_conjunct_key(given);
-            let gs = shard_of_id(a);
-            let mut shard = self.inner.shards[gs].lock().unwrap();
-            let sh = &mut *shard;
-            if let Some(r) = sh.gist.get(&(a, b), &mut sh.counts.gist) {
-                return r;
-            }
-            (gs, (a, b))
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[gs].lock().unwrap();
-        let sh = &mut *shard;
-        sh.gist
-            .insert(key, r.clone(), cost_us, cap, &mut sh.counts.gist);
-        r
+        let a = self.intern_conjunct(c);
+        let b = self.intern_conjunct(given);
+        self.memoized(
+            shard_of_id(a),
+            |_| (a, b),
+            |sh| (&mut sh.gist, &mut sh.counts.gist),
+            compute,
+        )
     }
 
     pub(crate) fn cached_simplify(
@@ -818,28 +853,14 @@ impl Context {
         if !memo || !self.is_enabled() {
             return compute();
         }
-        let (ss, key) = {
-            let key: Vec<Id> = conjuncts
-                .iter()
-                .map(|c| self.intern_conjunct_key(c))
-                .collect();
-            let ss = shard_of(&key);
-            let mut shard = self.inner.shards[ss].lock().unwrap();
-            let sh = &mut *shard;
-            if let Some(r) = sh.simplify.get(&key, &mut sh.counts.simplify) {
-                return r;
-            }
-            (ss, key)
-        };
-        let t0 = Instant::now();
-        let r = compute();
-        let cost_us = elapsed_us(t0);
-        let cap = self.shard_cap();
-        let mut shard = self.inner.shards[ss].lock().unwrap();
-        let sh = &mut *shard;
-        sh.simplify
-            .insert(key, r.clone(), cost_us, cap, &mut sh.counts.simplify);
-        r
+        let key: Vec<Id> = conjuncts.iter().map(|c| self.intern_conjunct(c)).collect();
+        let s = shard_of_hash(self.inner.hasher.hash_one(&key));
+        self.memoized(
+            s,
+            |_| key,
+            |sh| (&mut sh.simplify, &mut sh.counts.simplify),
+            compute,
+        )
     }
 }
 
@@ -905,9 +926,47 @@ mod tests {
             let mut c = Conjunct::new();
             c.add_geq(LinExpr::var(Var::In(i)));
             let id = ctx.intern_conjunct(&c);
-            assert_eq!(shard_of_id(id), shard_of(&c.canonical()));
+            assert_eq!(shard_of_id(id), ctx.place(&c.canonical()).1);
         }
         assert_eq!(ctx.stats().interned_conjuncts, 64);
+    }
+
+    #[test]
+    fn colliding_hashes_intern_exactly() {
+        // Two distinct conjuncts forced under one hash: the second probes
+        // past the first's index slot instead of aliasing it.
+        let (mut c, mut d) = (Conjunct::new(), Conjunct::new());
+        c.add_geq(LinExpr::var(Var::In(0)));
+        d.add_geq(LinExpr::var(Var::In(1)));
+        let (c, d) = (c.canonical(), d.canonical());
+        let mut shard = Shard::default();
+        let h = u64::MAX; // the probe past it wraps to 0
+        let ic = shard.intern(&c, h, 3);
+        let id = shard.intern(&d, h, 3);
+        assert_ne!(ic, id);
+        assert_eq!(shard.intern(&c, h, 3), ic);
+        assert_eq!(shard.intern(&d, h, 3), id);
+        assert_eq!((shard_of_id(ic), shard_of_id(id)), (3, 3));
+        assert_eq!(shard.stats().interned_conjuncts, 2);
+    }
+
+    #[test]
+    fn racing_insert_keeps_the_first_entry() {
+        // A full table: the second insert of a key another thread already
+        // inserted must neither evict nor overwrite.
+        let mut t: MemoTable<u32, u32> = MemoTable::default();
+        let mut counts = OpCounts::default();
+        let cap = 4;
+        for k in 0..4 {
+            t.insert(k, 10 * k, 0, cap, &mut counts);
+        }
+        assert_eq!((t.len(), counts.evictions), (4, 0));
+        t.insert(2, 99, 0, cap, &mut counts);
+        assert_eq!((t.len(), counts.evictions), (4, 0));
+        assert_eq!(t.get(&2, &mut counts), Some(20));
+        // A new key at capacity still evicts one victim.
+        t.insert(7, 70, 0, cap, &mut counts);
+        assert_eq!((t.len(), counts.evictions), (4, 1));
     }
 
     #[test]
